@@ -181,9 +181,8 @@ fn identical(
 }
 
 /// The scaled arm: a 1M-event windowed replay pitting the vectorized
-/// lane sweep over the default sharded cache against the scalar
-/// reference sweep over the 1-shard reference cache, checkpoint by
-/// checkpoint.
+/// lane sweep against the scalar reference sweep, each over its own
+/// cache, checkpoint by checkpoint.
 ///
 /// The window is rebased (analyzer-style: cut at a split-candidate
 /// boundary when one exists, else mid-window) whenever it reaches
@@ -207,7 +206,7 @@ fn scaled(seed: u64) -> ExitCode {
     );
     let mut stream = SynthStream::new(seed);
     let vec_cache = SimilarityCache::new();
-    let ref_cache = SimilarityCache::with_shards(1);
+    let ref_cache = SimilarityCache::new();
     let rescan_cache = SimilarityCache::new();
     let mut vec_engine = FindSpaceEngine::new(config.clone());
     let mut ref_engine = FindSpaceEngine::new(config.clone());
@@ -246,15 +245,14 @@ fn scaled(seed: u64) -> ExitCode {
         }
         max_window = max_window.max(window.len());
 
-        // Vectorized arm: default lane width over the sharded cache.
+        // Vectorized arm: default lane width.
         // The timed region is exactly what the analyzer pays per pass.
         let t = Instant::now();
         vec_engine.extend_from(&window, &vec_cache);
         let vec_out = vec_engine.analyze(K);
         histogram.record(t.elapsed().as_micros() as u64);
 
-        // Scalar reference arm: verbatim pre-vectorization sweep over
-        // the 1-shard reference cache.
+        // Scalar reference arm: verbatim pre-vectorization sweep.
         ref_engine.extend_from(&window, &ref_cache);
         let ref_out = ref_engine.analyze_reference(K);
         analyses += 1;

@@ -16,12 +16,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use taopt_toller::{EntrypointRule, InstanceId};
 use taopt_ui_model::{AbstractScreenId, Trace, TraceEvent, VirtualDuration, VirtualTime};
 
-use crate::campaign::pool::ComputePool;
 use crate::findspace::{
     FindSpaceConfig, FindSpaceEngine, ScreenArena, SimilarityCache, SplitCandidate,
 };
@@ -69,28 +66,6 @@ pub struct AnalyzerConfig {
     /// against fragmenting a functionality into micro-subspaces whose
     /// blocking rules would partition the space too finely.
     pub min_subspace_screens: usize,
-    /// Host threads [`OnlineTraceAnalyzer::ingest_round`] may use for
-    /// the per-instance analysis phase **when no compute pool is
-    /// attached** (the legacy per-call scoped-thread path). Results are
-    /// byte-identical at any value (the phase touches only per-instance
-    /// state plus the sharded, order-independent similarity cache);
-    /// `1` keeps the phase inline.
-    ///
-    /// Deprecated knob: superseded by the campaign-wide host budget
-    /// (`CampaignConfig::host_threads`). With a pool attached via
-    /// [`OnlineTraceAnalyzer::set_compute`] the worker count is derived
-    /// from the pool's budget and this value is ignored — one knob for
-    /// the whole campaign instead of one per analyzer.
-    pub analysis_workers: usize,
-    /// Minimum summed window length (events past each instance's
-    /// `start_index`, over the whole batch) before phase A is shipped
-    /// to an attached [`ComputePool`]. Below it the batch runs inline:
-    /// job submission, worker wake-up and the per-item event clone cost
-    /// more than a few microsecond sweeps return. Purely a *where*
-    /// knob — results are byte-identical either way (the
-    /// `pooled_ingestion_*` law pins it at 0, engaging the pool for
-    /// every batch).
-    pub pool_min_window: usize,
 }
 
 impl AnalyzerConfig {
@@ -107,8 +82,6 @@ impl AnalyzerConfig {
             min_new_events: 10,
             merge_jaccard: 0.5,
             min_subspace_screens: 5,
-            analysis_workers: 1,
-            pool_min_window: 4096,
         }
     }
 
@@ -125,8 +98,6 @@ impl AnalyzerConfig {
             min_new_events: 20,
             merge_jaccard: 0.5,
             min_subspace_screens: 5,
-            analysis_workers: 1,
-            pool_min_window: 4096,
         }
     }
 }
@@ -184,14 +155,9 @@ pub struct OnlineTraceAnalyzer {
     config: AnalyzerConfig,
     subspaces: Vec<SubspaceInfo>,
     instances: HashMap<InstanceId, InstanceState>,
-    /// `Arc` so pooled phase-A tasks can hold the cache without
-    /// borrowing the analyzer; the cache is internally thread-safe and
-    /// its decisions are order-independent.
-    similarity_cache: Arc<SimilarityCache>,
-    /// Campaign-wide host budget for phase A of
-    /// [`ingest_round`](Self::ingest_round); `None` falls back to the
-    /// legacy `analysis_workers` scoped-thread path.
-    compute: Option<Arc<ComputePool>>,
+    /// Pairwise screen-similarity decisions shared by every instance's
+    /// engine.
+    similarity_cache: SimilarityCache,
     /// Per-app screen interner shared by every instance's engine.
     arena: Arc<ScreenArena>,
     /// Bumped on every subspace-registry mutation; lets snapshot
@@ -211,10 +177,8 @@ pub struct OnlineTraceAnalyzer {
 /// step needs to rebase the instance's window and register the report.
 ///
 /// Producing one reads only the trace window and config thresholds —
-/// never the subspace registry — which is exactly why candidate
-/// validation runs in phase A, concurrently across instances, while
-/// only [`OnlineTraceAnalyzer::apply_validated`] stays sequential in
-/// batch order (DESIGN.md §16).
+/// never the subspace registry; only
+/// [`OnlineTraceAnalyzer::apply_validated`] mutates the registry.
 #[derive(Debug)]
 struct ValidatedSplit {
     /// Absolute trace index of the accepted split.
@@ -230,8 +194,7 @@ impl OnlineTraceAnalyzer {
             config,
             subspaces: Vec::new(),
             instances: HashMap::new(),
-            similarity_cache: Arc::new(SimilarityCache::new()),
-            compute: None,
+            similarity_cache: SimilarityCache::new(),
             arena: Arc::new(ScreenArena::new()),
             version: 0,
             analysis_latency: taopt_telemetry::global().histogram("findspace_analysis_us"),
@@ -305,17 +268,8 @@ impl OnlineTraceAnalyzer {
         }
     }
 
-    /// Attaches a campaign-wide [`ComputePool`]: phase A of
-    /// [`ingest_round`](Self::ingest_round) is then scheduled on it
-    /// whenever its budget and the batch allow parallelism, superseding
-    /// the per-analyzer `analysis_workers` knob (one budget for the
-    /// whole campaign). Results are byte-identical either way.
-    pub fn set_compute(&mut self, pool: Arc<ComputePool>) {
-        self.compute = Some(pool);
-    }
-
-    /// The shared pairwise-similarity cache (sharded; see
-    /// [`SimilarityCache`]). Exposed for occupancy tests and gauges.
+    /// The shared pairwise-similarity cache. Exposed for occupancy tests
+    /// and gauges.
     pub fn similarity_cache(&self) -> &SimilarityCache {
         &self.similarity_cache
     }
@@ -379,9 +333,7 @@ impl OnlineTraceAnalyzer {
     }
 
     /// Due-gating half of an analysis: interval and growth checks,
-    /// advancing the cursor when due. Cheap and registry-map-bound
-    /// (`&mut InstanceState`), so every ingestion path decides dueness
-    /// inline before shipping the expensive sweep anywhere.
+    /// advancing the cursor when due.
     fn analysis_due(
         config: &AnalyzerConfig,
         state: &mut InstanceState,
@@ -402,10 +354,7 @@ impl OnlineTraceAnalyzer {
     }
 
     /// The per-instance sweep: engine catch-up plus the FindSpace
-    /// analysis. Touches only `state` and the (thread-safe) `cache` —
-    /// no registry access — so [`ingest_round`](Self::ingest_round) may
-    /// run it for many instances concurrently with byte-identical
-    /// results.
+    /// analysis. Touches only `state` and `cache` — no registry access.
     fn analysis_sweep(
         state: &mut InstanceState,
         instance: InstanceId,
@@ -434,26 +383,6 @@ impl OnlineTraceAnalyzer {
         let candidates = state.engine.analyze(5);
         latency.record(timer.elapsed().as_micros() as u64);
         (start, candidates)
-    }
-
-    /// One instance's complete phase-A work: due-gating, sweep, and
-    /// candidate validation. Registry-free throughout.
-    fn analyze_one(
-        config: &AnalyzerConfig,
-        state: &mut InstanceState,
-        instance: InstanceId,
-        trace: &Trace,
-        now: VirtualTime,
-        cache: &SimilarityCache,
-        latency: &taopt_telemetry::Histogram,
-    ) -> Option<ValidatedSplit> {
-        if !Self::analysis_due(config, state, trace.len(), now) {
-            return None;
-        }
-        let events = trace.events();
-        let (start, candidates) =
-            Self::analysis_sweep(state, instance, events, now, cache, latency);
-        Self::validate_candidates(config.min_subspace_screens, events, start, candidates)
     }
 
     /// Analyzes an instance's trace if it is due; returns the ids of
@@ -500,18 +429,6 @@ impl OnlineTraceAnalyzer {
     /// trace)` pair in slice order — the differential suite and the
     /// golden-trace second arm pin the equivalence bit-for-bit.
     ///
-    /// Phase A runs the registry-free work for the whole batch —
-    /// due-gating, the per-instance sweep, **and candidate validation**
-    /// (`validate_candidates` reads only
-    /// the trace window and config thresholds) — on the attached
-    /// [`ComputePool`] when one is set (the campaign-wide budget), else
-    /// across the legacy `analysis_workers` scoped threads. Per-instance
-    /// state is disjoint and the sharded cache's decisions are
-    /// order-independent, so any interleaving yields the same bytes.
-    /// Phase B then applies validated splits — registry mutation plus
-    /// window rebase only — **sequentially in batch order**, the same
-    /// mutation sequence the one-at-a-time path produces.
-    ///
     /// Instances must be distinct within one batch (the session feeds
     /// each instance once per round); a duplicate is skipped — debug
     /// builds assert, release builds count the skip in the
@@ -521,199 +438,23 @@ impl OnlineTraceAnalyzer {
         batch: &[(InstanceId, &Trace)],
         now: VirtualTime,
     ) -> Vec<SubspaceId> {
-        for (id, _) in batch {
-            let arena = self.arena.clone();
-            self.instances
-                .entry(*id)
-                .or_insert_with(|| InstanceState::new(&self.config.find_space, arena));
-        }
-        // Phase A: per-instance analysis + candidate validation, no
-        // registry access. The pooled path pays a per-item event-clone
-        // and a job submission to make work owned, so it only engages
-        // when the pool can actually parallelize AND there is enough
-        // window volume to amortize that overhead — dueness and window
-        // sizes are deterministic, so the routing is too.
-        let window_sum: usize = batch
-            .iter()
-            .map(|(id, trace)| {
-                self.instances
-                    .get(id)
-                    .map_or(0, |s| trace.len().saturating_sub(s.start_index))
-            })
-            .sum();
-        let pooled = self.compute.as_ref().is_some_and(|p| p.budget() > 1)
-            && batch.len() > 1
-            && window_sum >= self.config.pool_min_window;
-        let results: Vec<Option<ValidatedSplit>> = if pooled {
-            self.phase_a_pooled(batch, now)
-        } else {
-            self.phase_a_scoped(batch, now)
-        };
-        // Phase B: sequential application in batch order.
         let mut confirmed = Vec::new();
-        for ((id, _), result) in batch.iter().zip(results) {
-            if let Some(v) = result {
-                confirmed.extend(self.apply_validated(*id, v, now));
+        for (k, (id, trace)) in batch.iter().enumerate() {
+            if batch[..k].iter().any(|(seen, _)| seen == id) {
+                self.duplicates_counter.inc();
+                debug_assert!(false, "duplicate instance in ingest_round batch");
+                continue;
             }
+            confirmed.extend(self.maybe_analyze(*id, trace, now));
         }
-        self.cache_entries.set(self.similarity_cache.len() as i64);
         confirmed
-    }
-
-    /// Phase A on borrowed state: inline when `analysis_workers` is 1,
-    /// else the legacy per-call `std::thread::scope` spawn (kept as the
-    /// differential baseline the equivalence suite races the pool
-    /// against).
-    fn phase_a_scoped(
-        &mut self,
-        batch: &[(InstanceId, &Trace)],
-        now: VirtualTime,
-    ) -> Vec<Option<ValidatedSplit>> {
-        let mut results: Vec<Option<ValidatedSplit>> = Vec::new();
-        results.resize_with(batch.len(), || None);
-        let config = &self.config;
-        let cache: &SimilarityCache = &self.similarity_cache;
-        let latency = &self.analysis_latency;
-        let duplicates = &self.duplicates_counter;
-        let mut by_id: HashMap<InstanceId, &mut InstanceState> =
-            self.instances.iter_mut().map(|(k, v)| (*k, v)).collect();
-        let mut work: Vec<Option<(InstanceId, &Trace, &mut InstanceState)>> = batch
-            .iter()
-            .map(|(id, trace)| {
-                let item = by_id.remove(id).map(|state| (*id, *trace, state));
-                if item.is_none() {
-                    duplicates.inc();
-                }
-                item
-            })
-            .collect();
-        debug_assert!(
-            work.iter().all(Option::is_some),
-            "duplicate instance in ingest_round batch"
-        );
-        let workers = config.analysis_workers.clamp(1, work.len().max(1));
-        if workers <= 1 {
-            for (item, slot) in work.iter_mut().zip(results.iter_mut()) {
-                if let Some((id, trace, state)) = item {
-                    *slot = Self::analyze_one(config, state, *id, trace, now, cache, latency);
-                }
-            }
-        } else {
-            let chunk = work.len().div_ceil(workers);
-            let spawn_counter = taopt_telemetry::global().counter("host_threads_spawned_total");
-            std::thread::scope(|s| {
-                for (wchunk, rchunk) in work.chunks_mut(chunk).zip(results.chunks_mut(chunk)) {
-                    spawn_counter.inc();
-                    s.spawn(move || {
-                        for (item, slot) in wchunk.iter_mut().zip(rchunk) {
-                            if let Some((id, trace, state)) = item {
-                                *slot = Self::analyze_one(
-                                    config, state, *id, trace, now, cache, latency,
-                                );
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        results
-    }
-
-    /// Phase A on the campaign's persistent [`ComputePool`].
-    ///
-    /// The pool requires owned `'static` jobs (no borrowed scopes under
-    /// `forbid(unsafe_code)`), so each *due* instance's state moves out
-    /// of the registry map and its trace events are cloned into the job
-    /// (an `Arc` bump per event — the sweep walks the whole window
-    /// anyway). Skipped instances (not due, or duplicates) cost
-    /// nothing. States return to the map before phase B runs.
-    fn phase_a_pooled(
-        &mut self,
-        batch: &[(InstanceId, &Trace)],
-        now: VirtualTime,
-    ) -> Vec<Option<ValidatedSplit>> {
-        let pool = Arc::clone(self.compute.as_ref().expect("pooled phase requires a pool"));
-        struct IngestItem {
-            instance: InstanceId,
-            state: InstanceState,
-            events: Vec<TraceEvent>,
-            result: Option<ValidatedSplit>,
-        }
-        // Not-due states are re-inserted only after the whole batch is
-        // scanned, so a duplicate id reliably finds its state missing
-        // (same detection the scoped path gets from `by_id.remove`).
-        let mut not_due: Vec<(InstanceId, InstanceState)> = Vec::new();
-        let mut slots: Vec<Mutex<Option<IngestItem>>> = Vec::with_capacity(batch.len());
-        for (id, trace) in batch {
-            let item = match self.instances.remove(id) {
-                None => {
-                    self.duplicates_counter.inc();
-                    debug_assert!(false, "duplicate instance in ingest_round batch");
-                    None
-                }
-                Some(mut state) => {
-                    if Self::analysis_due(&self.config, &mut state, trace.len(), now) {
-                        Some(IngestItem {
-                            instance: *id,
-                            state,
-                            events: trace.events().to_vec(),
-                            result: None,
-                        })
-                    } else {
-                        not_due.push((*id, state));
-                        None
-                    }
-                }
-            };
-            slots.push(Mutex::new(item));
-        }
-        for (id, state) in not_due {
-            self.instances.insert(id, state);
-        }
-        let slots = Arc::new(slots);
-        let job_slots = Arc::clone(&slots);
-        let cache = Arc::clone(&self.similarity_cache);
-        let latency = self.analysis_latency.clone();
-        let min_screens = self.config.min_subspace_screens;
-        pool.run(batch.len(), move |k, _worker| {
-            let mut guard = job_slots[k].lock();
-            if let Some(item) = guard.as_mut() {
-                let (start, candidates) = Self::analysis_sweep(
-                    &mut item.state,
-                    item.instance,
-                    &item.events,
-                    now,
-                    &cache,
-                    &latency,
-                );
-                item.result =
-                    Self::validate_candidates(min_screens, &item.events, start, candidates);
-            }
-        });
-        // `run` returns only after every task finished and dropped its
-        // job clone: reclaim states and results in batch order.
-        let mut results = Vec::with_capacity(batch.len());
-        for slot in slots.iter() {
-            match slot.lock().take() {
-                Some(item) => {
-                    self.instances.insert(item.instance, item.state);
-                    results.push(item.result);
-                }
-                None => results.push(None),
-            }
-        }
-        results
     }
 
     /// Turns the sweep's candidates into a validated subspace report:
     /// the first candidate that passes every structural check wins.
     ///
-    /// Pure function of the trace window and config thresholds —
-    /// **registry-read-free** (the proof obligation of DESIGN.md §16's
-    /// boundary slimming): every input is frozen before phase A starts,
-    /// so running this concurrently across instances cannot change any
-    /// result. Only [`apply_validated`](Self::apply_validated) — the
-    /// registry mutation and window rebase — must stay sequential.
+    /// Pure function of the trace window and config thresholds; it
+    /// never reads the subspace registry.
     fn validate_candidates(
         min_subspace_screens: usize,
         events: &[TraceEvent],
@@ -800,9 +541,8 @@ impl OnlineTraceAnalyzer {
         // Future analyses for this instance start inside the subspace:
         // the window rebases to `split_at`, so the engine restarts empty
         // and is re-fed from there on the next due analysis.
-        // Infallible: every ingestion path inserts the state for
-        // `instance` before calling here (and the pooled path returns
-        // moved-out states to the map before phase B).
+        // Infallible: `maybe_analyze` inserts the state for `instance`
+        // before calling here.
         let state = self.instances.get_mut(&instance).expect("state exists");
         state.start_index = v.split_at;
         state.engine.reset();
@@ -1015,9 +755,6 @@ mod tests {
         use crate::findspace::tests::two_cluster_trace;
         let mut cfg = AnalyzerConfig::resource_mode();
         cfg.find_space.l_min = VirtualDuration::from_secs(20);
-        // Engage the pool for any batch size; the default threshold
-        // keeps short windows inline.
-        cfg.pool_min_window = 0;
         let a = OnlineTraceAnalyzer::new(cfg);
         let trace: Trace = two_cluster_trace(30, 50).into_iter().collect();
         let now = trace.end_time().unwrap();
@@ -1053,19 +790,6 @@ mod tests {
         let single = b.ingest_round(&[(InstanceId(0), &trace_b)], now_b);
         assert_eq!(confirmed, single);
         assert_eq!(a.subspaces().len(), b.subspaces().len());
-    }
-
-    #[test]
-    fn pooled_ingestion_matches_inline() {
-        let (mut inline, trace, now) = due_setup();
-        let (mut pooled, trace_p, _) = due_setup();
-        pooled.set_compute(crate::campaign::pool::ComputePool::new(4));
-        let batch_a = [(InstanceId(0), &trace), (InstanceId(1), &trace)];
-        let batch_b = [(InstanceId(0), &trace_p), (InstanceId(1), &trace_p)];
-        let a = inline.ingest_round(&batch_a, now);
-        let b = pooled.ingest_round(&batch_b, now);
-        assert_eq!(a, b);
-        assert_eq!(inline.subspaces(), pooled.subspaces());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Campaign runtime: many app sessions over one shared device farm.
 //!
 //! A *campaign* schedules N independent TaOPT app sessions onto a single
-//! [`taopt_device::DeviceFarm`], interleaving their per-round loops under
-//! a work-stealing worker pool while keeping every shared-resource
+//! [`taopt_device::DeviceFarm`], advancing their per-round loops in
+//! parallel on one host-thread pool while keeping every shared-resource
 //! decision deterministic. The module tree:
 //!
 //! * [`step`] — [`step::SessionStep`], the reusable one-round driver
@@ -15,9 +15,8 @@
 //! * [`lease`] — [`lease::LeaseLedger`], device → app ownership records
 //!   and lease-churn counters;
 //! * [`pool`] — [`pool::ComputePool`], the persistent campaign-wide
-//!   host-thread budget: one condvar-parked work-stealing pool serving
-//!   both the per-app step tasks and the analyzer's phase-A tasks
-//!   (replacing the per-round scoped-thread spawns);
+//!   host-thread budget: one condvar-parked pool that advances the
+//!   runnable apps of each round;
 //! * [`scheduler`] — [`scheduler::run_campaign`], the round loop:
 //!   parallel step phase, then a sequential boundary for leasing,
 //!   scheduled kills, rate-planned fault losses, replacements and session

@@ -1,49 +1,32 @@
-//! Persistent host compute pool shared by every parallel hot path.
+//! Persistent host compute pool: the campaign's one host-parallel
+//! mechanism.
 //!
-//! Before this module, each campaign round spawned and joined fresh
-//! scoped worker threads in `advance_parallel`, and every app's
-//! `ingest_round` spawned *another* `analysis_workers` scoped threads
-//! inside the round — nested oversubscription (`workers ×
-//! analysis_workers` live threads at the worst point) plus per-round
-//! spawn/join churn on the host. [`ComputePool`] replaces both call
-//! sites with one long-lived budget: `host_threads - 1` workers are
-//! spawned once per [`super::scheduler::Campaign`] (or once per process
-//! for single-app sessions, via [`ComputePool::shared`]), park on a
-//! condvar while idle, and serve both consumers — per-app step tasks
-//! and phase-A analysis tasks.
+//! A campaign advances its runnable apps in parallel each round
+//! ([`super::scheduler::Campaign::advance_round`]); everything inside
+//! one app's step runs inline on whichever thread claimed it. The
+//! [`ComputePool`] is sized once per [`super::scheduler::Campaign`]
+//! from `host_threads`: `host_threads - 1` workers are spawned at
+//! construction and park on a condvar while idle, so rounds never
+//! spawn threads.
 //!
 //! # Scheduling model
 //!
 //! A [`ComputePool::run`] call publishes one *job*: `tasks` indexed
 //! units plus a closure invoked as `f(task_index, worker_id)`. Task
 //! indices are claimed from a shared atomic cursor, so idle workers
-//! steal whatever is left regardless of which consumer published it —
-//! the same self-scheduling loop the old scoped paths used, minus the
-//! thread churn. The *calling* thread always participates as worker 0
-//! before blocking, which keeps two invariants:
-//!
-//! * **budget**: at most `host_threads` threads ever execute tasks
-//!   (the caller plus `host_threads - 1` pool workers);
-//! * **progress under nesting**: a step task may itself call
-//!   [`ComputePool::run`] (the analyzer's phase A). The nested caller
-//!   first drains its own job's cursor, and a thread only blocks when
-//!   every task of its job is claimed — each claimed task is then
-//!   actively executing on some non-blocked thread, so completion (and
-//!   thus wake-up) is always reachable. No thread ever waits while
-//!   holding an unexecuted claimed task.
+//! take whatever is left. The *calling* thread participates as worker 0
+//! before blocking, so at most `host_threads` threads ever execute
+//! tasks (the caller plus `host_threads - 1` pool workers).
 //!
 //! # Determinism
 //!
 //! The pool adds no ordering of its own: tasks are independent by
-//! contract (each touches disjoint state behind its own lock), exactly
-//! as the scoped-thread predecessors required. The differential law in
-//! `crates/core/tests/parallel_equivalence.rs` pins pool-scheduled
-//! analysis byte-identical to the scoped-thread and serial paths, and
-//! the campaign determinism suites pin whole-campaign reports across
-//! `host_threads` budgets. See `DESIGN.md` §16.
+//! contract (each touches disjoint state behind its own lock). The
+//! campaign determinism suites pin whole-campaign reports across
+//! `host_threads` budgets. See `DESIGN.md` §15.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
@@ -113,12 +96,11 @@ impl PoolShared {
     }
 }
 
-/// A persistent work-stealing thread pool sized by one campaign-wide
+/// A persistent thread pool sized by one campaign-wide
 /// `host_threads` budget (see [`crate::campaign::CampaignConfig::host_threads`]).
 ///
-/// Created once per campaign (or per process, [`ComputePool::shared`])
-/// and threaded down to every consumer as an `Arc`; dropping the last
-/// handle signals shutdown and joins the workers. A budget of 1 spawns
+/// Created once per campaign; dropping the last handle signals
+/// shutdown and joins the workers. A budget of 1 spawns
 /// no threads at all — [`ComputePool::run`] then executes inline, so
 /// serial configurations pay nothing.
 pub struct ComputePool {
@@ -175,14 +157,6 @@ impl ComputePool {
         })
     }
 
-    /// The process-local shared pool (auto-detected budget), used by the
-    /// single-app `run`/`run_with_chaos` paths so they ride the same
-    /// machinery as campaigns. Created on first use, never dropped.
-    pub fn shared() -> Arc<ComputePool> {
-        static SHARED: OnceLock<Arc<ComputePool>> = OnceLock::new();
-        Arc::clone(SHARED.get_or_init(|| ComputePool::new(0)))
-    }
-
     /// The host-thread budget (≥ 1): the maximum number of threads that
     /// ever execute tasks concurrently, counting the submitter.
     pub fn budget(&self) -> usize {
@@ -223,14 +197,12 @@ impl ComputePool {
         }
         // Wake only as many workers as could usefully help: the caller
         // claims tasks itself, so a `tasks`-unit job needs at most
-        // `tasks - 1` helpers. A broadcast here would stampede the whole
-        // budget through the scheduler for every small nested job.
+        // `tasks - 1` helpers.
         for _ in 0..(tasks - 1).min(self.budget - 1) {
             self.shared.work_ready.notify_one();
         }
-        // The caller is worker 0: it drains its own job's cursor before
-        // blocking, so a nested `run` from inside a task cannot deadlock
-        // (see module docs).
+        // The caller is worker 0: it drains the job's cursor before
+        // blocking.
         job.participate(0);
         let mut done = job.done.lock();
         while *done < job.tasks {
@@ -310,25 +282,6 @@ mod tests {
             s.fetch_add(k as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 45);
-    }
-
-    #[test]
-    fn nested_submission_completes() {
-        // A task that itself publishes a job — the analyzer's phase A
-        // running inside a step task. Must not deadlock at any budget.
-        for budget in [2, 3, 8] {
-            let pool = ComputePool::new(budget);
-            let total = Arc::new(AtomicU64::new(0));
-            let outer_pool = Arc::clone(&pool);
-            let outer_total = Arc::clone(&total);
-            pool.run(6, move |_, _| {
-                let inner_total = Arc::clone(&outer_total);
-                outer_pool.run(5, move |_, _| {
-                    inner_total.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-            assert_eq!(total.load(Ordering::Relaxed), 30, "budget {budget}");
-        }
     }
 
     #[test]

@@ -8,22 +8,21 @@
 //! 1. **Parallel phase** — every *runnable* app (live, holding at least
 //!    one device) advances its [`SessionStep`] by one round. Steps touch
 //!    only their own state, so the campaign's persistent [`ComputePool`]
-//!    (one `host_threads` budget built at [`Campaign::new`], shared with
-//!    every app's phase-A analysis — no per-round thread spawns)
-//!    executes them concurrently: threads claim step indices from the
-//!    job's atomic cursor, and a claim that lands outside a thread's
-//!    home lane counts as a steal. Each step also snapshots its device
-//!    demand here, so the boundary need not recompute it.
+//!    (one `host_threads` budget built at [`Campaign::new`]; no
+//!    per-round thread spawns) executes them concurrently: threads claim
+//!    step indices from the job's atomic cursor, and a claim that lands
+//!    outside a thread's home lane counts as a steal. Everything inside
+//!    one app's step, its trace analysis included, runs inline on the
+//!    thread that claimed it. Each step also snapshots its device demand
+//!    here, so the boundary need not recompute it.
 //! 2. **Sequential boundary** — all shared-state decisions (farm
 //!    allocation, lease grants and revocations, scheduled device kills,
 //!    replacement retries, session completion) happen on the scheduler
-//!    thread in ascending app-index order. Candidate *validation* is
-//!    not such a decision — it reads only frozen per-instance traces —
-//!    and runs in the parallel phase (DESIGN.md §16).
+//!    thread in ascending app-index order.
 //!
 //! # Determinism
 //!
-//! Byte-identical results regardless of worker count follow from the
+//! Byte-identical results regardless of the host budget follow from the
 //! phase split: parallel work is confined to disjoint per-app state, and
 //! every decision that consumes a shared resource is made in the
 //! boundary, whose iteration order is a pure function of round number and
@@ -48,14 +47,14 @@
 //! burn its `l_p`/budget.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use taopt_app_sim::App;
 use taopt_chaos::{FaultInjector, FaultPlan, FaultStats, FaultyPool, APP_LANE_SHIFT};
-use taopt_device::{fair_targets_from, DeviceFarm, DevicePool, PlainPool, PoolDecision};
+use taopt_device::{fair_targets_from, DeviceFarm, DeviceId, DevicePool, PlainPool, PoolDecision};
 use taopt_ui_model::{Value, VirtualDuration, VirtualTime};
 
 use crate::campaign::layers::StepLayers;
@@ -94,23 +93,11 @@ pub struct CampaignApp {
 /// Campaign-level knobs.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Worker threads for the parallel phase (1 = sequential).
-    ///
-    /// Deprecated alias: when [`CampaignConfig::host_threads`] is 0,
-    /// a `workers` value > 1 is taken as the host-thread budget so old
-    /// configs keep their parallelism. With `scoped_threads` it also
-    /// sizes the legacy per-round scoped spawn.
-    pub workers: usize,
-    /// Host compute-thread budget shared by the whole campaign: the
-    /// persistent [`ComputePool`] serving both round advancement and
-    /// phase-A analysis is sized once from this. `0` = auto-detect
-    /// ([`std::thread::available_parallelism`]).
+    /// Host-thread budget of the campaign's persistent [`ComputePool`],
+    /// which advances runnable apps in parallel (1 = sequential). `0` =
+    /// auto-detect ([`std::thread::available_parallelism`]). Never
+    /// affects results.
     pub host_threads: usize,
-    /// Use the legacy per-round `std::thread::scope` spawns instead of
-    /// the persistent pool. Kept as the differential baseline: the farm
-    /// bench measures the pool against it in-process, and the
-    /// equivalence suites pin byte-identical results across both.
-    pub scoped_threads: bool,
     /// Shared farm capacity; defaults to the sum of every app's `d_max`
     /// (uncontended).
     pub capacity: Option<usize>,
@@ -133,12 +120,10 @@ pub struct CampaignConfig {
 
 impl CampaignConfig {
     /// The host-thread budget this config resolves to: `host_threads`
-    /// when set; else a legacy `workers > 1` value; else auto-detect.
+    /// when set, else auto-detect.
     pub fn effective_host_threads(&self) -> usize {
         if self.host_threads > 0 {
             self.host_threads
-        } else if self.workers > 1 {
-            self.workers
         } else {
             crate::campaign::pool::auto_threads()
         }
@@ -148,9 +133,7 @@ impl CampaignConfig {
 impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
-            workers: 1,
             host_threads: 0,
-            scoped_threads: false,
             capacity: None,
             min_hold_rounds: 3,
             kills: Vec::new(),
@@ -216,7 +199,7 @@ pub struct CampaignResult {
     pub lease_conflicts: u64,
     /// Devices still allocated in the farm after the drain (must be 0).
     pub farm_active_at_end: usize,
-    /// Work-steal count (not deterministic across worker counts; excluded
+    /// Work-steal count (not deterministic across host budgets; excluded
     /// from [`CampaignResult::coverage_report`]).
     pub steals: u64,
     /// Aggregated fault/recovery statistics when a fault plan was set.
@@ -385,7 +368,7 @@ struct Slot {
     queue: ReplacementQueue,
     outcome: Option<RoundOutcome>,
     /// Device demand captured right after the step's round in the
-    /// parallel phase (boundary prework, DESIGN.md §16): `demand()` is a
+    /// parallel phase (boundary prework, DESIGN.md §15): `demand()` is a
     /// pure read of step state, and nothing between the parallel phase
     /// and the leasing boundary changes it except a boundary-2 device
     /// kill, which clears the snapshot. Consumed (`take`) every leasing
@@ -408,8 +391,8 @@ struct Slot {
 /// [`Campaign::digest`] at any boundary, then [`Campaign::finish`]. The
 /// sequence is exactly the body of [`run_campaign`], so driving a
 /// campaign stepwise — or rebuilding one from its spec and replaying to
-/// a checkpointed round — produces byte-identical results at any worker
-/// count.
+/// a checkpointed round — produces byte-identical results at any host
+/// budget.
 pub struct Campaign {
     /// Shared with in-flight pool tasks during the parallel phase (the
     /// pool requires owned `'static` jobs), exclusively ours at every
@@ -418,9 +401,8 @@ pub struct Campaign {
     slots: Arc<Vec<Mutex<Slot>>>,
     ledger: LeaseLedger,
     pool: Box<dyn DevicePool>,
-    /// The campaign-wide host compute budget (tentpole of DESIGN.md
-    /// §16): sized once from the config, serves both step advancement
-    /// and every analyzer's phase A.
+    /// The campaign's host-thread budget: sized once from the config,
+    /// it advances the runnable apps of every round.
     compute: Arc<ComputePool>,
     injector: Option<FaultInjector>,
     kills_by_round: BTreeMap<u64, Vec<u64>>,
@@ -429,8 +411,6 @@ pub struct Campaign {
     round: u64,
     tick: VirtualDuration,
     capacity: usize,
-    workers: usize,
-    scoped_threads: bool,
     min_hold_rounds: u64,
     max_rounds: u64,
     host_start: std::time::Instant,
@@ -461,15 +441,7 @@ impl Campaign {
         let telemetry = taopt_telemetry::global();
         telemetry.counter("campaigns_started_total").inc();
 
-        let workers = config.workers.max(1);
-        // One persistent host budget for the whole campaign. The legacy
-        // scoped-thread baseline spawns per round instead, so it gets an
-        // inert budget-1 pool (no idle workers).
-        let compute = ComputePool::new(if config.scoped_threads {
-            1
-        } else {
-            config.effective_host_threads()
-        });
+        let compute = ComputePool::new(config.effective_host_threads());
         let tick = apps.iter().map(|a| a.config.tick).max().expect("non-empty");
         let total_want: usize = apps.iter().map(|a| a.config.instances).sum();
         let capacity = config.capacity.unwrap_or(total_want).max(1);
@@ -496,9 +468,6 @@ impl Campaign {
                     "app d_max must fit below the per-app lane range"
                 );
                 let mut step = SessionStep::new(a.app, a.config).with_orphan_repair(true);
-                if !config.scoped_threads {
-                    step = step.with_compute(Arc::clone(&compute));
-                }
                 if let Some(inj) = &injector {
                     step = step.with_layers(StepLayers::chaos(inj, (i as u32) << APP_LANE_SHIFT));
                 }
@@ -539,8 +508,6 @@ impl Campaign {
             round: 0,
             tick,
             capacity,
-            workers,
-            scoped_threads: config.scoped_threads,
             min_hold_rounds: config.min_hold_rounds,
             max_rounds: config.max_rounds,
             host_start,
@@ -580,13 +547,19 @@ impl Campaign {
     }
 
     /// Advances the campaign one global round. Returns `false` once no
-    /// further round can run (all apps finished, nothing runnable, or
-    /// the `max_rounds` stop) — after which the driver must call
-    /// [`Campaign::finish`].
+    /// further round can run (all apps finished, no waiting app demands
+    /// a device, or the `max_rounds` stop) — after which the driver must
+    /// call [`Campaign::finish`].
+    ///
+    /// A round in which live apps exist but none holds a device (every
+    /// grant of the last boundary was refused or lost) is a *waiting
+    /// round*: no step runs, every clock stays frozen, and the global
+    /// round advances so the next leasing boundary can try again.
     pub fn advance_round(&mut self) -> bool {
         let host_timer = self.round_host_us.timer();
         let mut runnable: Vec<usize> = Vec::new();
         let mut live = 0usize;
+        let mut waiting_demand = false;
         for (i, slot) in self.slots.iter().enumerate() {
             let s = &mut *slot.lock();
             if let Some(step) = s.step.as_ref() {
@@ -595,29 +568,18 @@ impl Campaign {
                     runnable.push(i);
                 } else {
                     s.wait_rounds += 1;
+                    waiting_demand |= step.demand() > 0 || s.queue.outstanding() > 0;
                 }
             }
         }
         self.active_apps_gauge.set(live as i64);
-        if live == 0 {
-            return false;
-        }
-        if runnable.is_empty() {
-            // Unreachable for a healthy scheduler: the boundary below
-            // always leaves at least one live app holding a device.
+        if live == 0 || (runnable.is_empty() && !waiting_demand) {
             return false;
         }
         self.round += 1;
         self.rounds_counter.inc();
 
-        advance_parallel(
-            &self.slots,
-            runnable.clone(),
-            &self.compute,
-            self.scoped_threads,
-            self.workers,
-            &self.steals,
-        );
+        advance_parallel(&self.slots, runnable.clone(), &self.compute, &self.steals);
 
         let global_now = VirtualTime::ZERO + self.tick * self.round;
 
@@ -641,32 +603,11 @@ impl Campaign {
                 if leased.is_empty() {
                     break;
                 }
-                let d = leased[(v as usize) % leased.len()];
-                let app = self.ledger.kill(d).expect("device was leased");
-                self.pool.kill(d, global_now);
-                self.kills_counter.inc();
-                let s = &mut *self.slots[app].lock();
-                if let Some(step) = s.step.as_mut() {
-                    step.lose_device(d);
-                }
-                // The loss changes what the step will ask for, so the
-                // parallel-phase demand snapshot is stale.
-                s.demand_snapshot = None;
-                s.devices_lost += 1;
-                s.queue.device_lost(global_now);
+                self.kill_device(leased[(v as usize) % leased.len()], global_now);
             }
         }
         for d in self.pool.round_losses(self.round, global_now) {
-            let app = self.ledger.kill(d).expect("active device is leased");
-            self.pool.kill(d, global_now);
-            self.kills_counter.inc();
-            let s = &mut *self.slots[app].lock();
-            if let Some(step) = s.step.as_mut() {
-                step.lose_device(d);
-            }
-            s.demand_snapshot = None;
-            s.devices_lost += 1;
-            s.queue.device_lost(global_now);
+            self.kill_device(d, global_now);
         }
 
         // Boundary 3: finish apps that reached their termination
@@ -721,9 +662,27 @@ impl Campaign {
         true
     }
 
+    /// Kills leased device `d`: the lease and the farm slot go, the
+    /// owning app's step loses the instance, and the loss joins the
+    /// app's replacement queue.
+    fn kill_device(&mut self, d: DeviceId, global_now: VirtualTime) {
+        let app = self.ledger.kill(d).expect("killed device is leased");
+        self.pool.kill(d, global_now);
+        self.kills_counter.inc();
+        let s = &mut *self.slots[app].lock();
+        if let Some(step) = s.step.as_mut() {
+            step.lose_device(d);
+        }
+        // The loss changes what the step will ask for, so the
+        // parallel-phase demand snapshot is stale.
+        s.demand_snapshot = None;
+        s.devices_lost += 1;
+        s.queue.device_lost(global_now);
+    }
+
     /// Fingerprints the campaign's logical state at the current round
     /// boundary (see [`CampaignDigest`]). Every field is deterministic
-    /// for a fixed spec regardless of worker count, so digests taken at
+    /// for a fixed spec regardless of host budget, so digests taken at
     /// the same round by an original run and a checkpoint replay must be
     /// equal.
     pub fn digest(&mut self) -> CampaignDigest {
@@ -826,8 +785,8 @@ impl Campaign {
 /// Runs a campaign to completion.
 ///
 /// Deterministic for a fixed set of apps, seeds and [`CampaignConfig`]
-/// (excluding `workers`, which must not change results — see the module
-/// docs and `tests/campaign.rs`).
+/// (excluding `host_threads`, which must not change results — see the
+/// module docs and `tests/campaign.rs`).
 pub fn run_campaign(apps: Vec<CampaignApp>, config: &CampaignConfig) -> CampaignResult {
     let mut campaign = Campaign::new(apps, config);
     while campaign.advance_round() {}
@@ -836,7 +795,7 @@ pub fn run_campaign(apps: Vec<CampaignApp>, config: &CampaignConfig) -> Campaign
 
 /// Advances one runnable slot's step and captures the boundary prework:
 /// the round outcome plus a demand snapshot the leasing boundary can
-/// consume without re-walking step state (DESIGN.md §16).
+/// consume without re-walking step state.
 fn advance_slot(slot: &Mutex<Slot>) {
     let s = &mut *slot.lock();
     let step = s.step.as_mut().expect("runnable app has a step");
@@ -846,61 +805,25 @@ fn advance_slot(slot: &Mutex<Slot>) {
     s.demand_snapshot = Some(demand);
 }
 
-/// Parallel phase: advance every runnable step by one round. Steps
-/// touch only their own state, so execution order cannot affect
-/// results.
-///
-/// The default path hands the batch to the campaign's persistent
-/// [`ComputePool`]; `scoped_threads` keeps the old per-round
-/// `std::thread::scope` spawn as an in-process differential baseline
-/// (the farm bench races the two on identical inputs).
+/// Parallel phase: advance every runnable step by one round on the
+/// campaign's [`ComputePool`]. Steps touch only their own state, so
+/// execution order cannot affect results.
 fn advance_parallel(
     slots: &Arc<Vec<Mutex<Slot>>>,
     runnable: Vec<usize>,
     compute: &ComputePool,
-    scoped_threads: bool,
-    workers: usize,
     steals: &Arc<AtomicU64>,
 ) {
-    if !scoped_threads {
-        let nw = compute.budget().min(runnable.len()).max(1);
-        let slots = Arc::clone(slots);
-        let steals = Arc::clone(steals);
-        compute.run(runnable.len(), move |k, w| {
-            // Static home assignment is round-robin; a claim outside the
-            // home share is a steal.
-            if k % nw != w % nw {
-                steals.fetch_add(1, Ordering::Relaxed);
-            }
-            advance_slot(&slots[runnable[k]]);
-        });
-        return;
-    }
-    let nw = workers.min(runnable.len());
-    if nw <= 1 {
-        for &i in &runnable {
-            advance_slot(&slots[i]);
+    let nw = compute.budget().min(runnable.len()).max(1);
+    let slots = Arc::clone(slots);
+    let steals = Arc::clone(steals);
+    compute.run(runnable.len(), move |k, w| {
+        // Static home assignment is round-robin; a claim outside the
+        // home share is a steal.
+        if k % nw != w % nw {
+            steals.fetch_add(1, Ordering::Relaxed);
         }
-        return;
-    }
-    let spawn_counter = taopt_telemetry::global().counter("host_threads_spawned_total");
-    let cursor = AtomicUsize::new(0);
-    let runnable = &runnable;
-    std::thread::scope(|scope| {
-        for w in 0..nw {
-            let cursor = &cursor;
-            spawn_counter.inc();
-            scope.spawn(move || loop {
-                let k = cursor.fetch_add(1, Ordering::SeqCst);
-                if k >= runnable.len() {
-                    break;
-                }
-                if k % nw != w {
-                    steals.fetch_add(1, Ordering::Relaxed);
-                }
-                advance_slot(&slots[runnable[k]]);
-            });
-        }
+        advance_slot(&slots[runnable[k]]);
     });
 }
 

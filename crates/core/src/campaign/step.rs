@@ -343,18 +343,6 @@ impl SessionStep {
         self
     }
 
-    /// Threads the campaign-wide [`crate::campaign::ComputePool`] down
-    /// to this step's coordinator/analyzer: batched ingestion schedules
-    /// its analysis phase on the shared host budget instead of spawning
-    /// per-call threads.
-    pub fn with_compute(
-        mut self,
-        pool: std::sync::Arc<crate::campaign::pool::ComputePool>,
-    ) -> Self {
-        self.coordinator.set_compute(pool);
-        self
-    }
-
     /// The session's local clock (frozen while it holds no devices and is
     /// not being advanced).
     pub fn now(&self) -> VirtualTime {

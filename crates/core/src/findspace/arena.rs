@@ -11,12 +11,11 @@
 //! used — `O(D_local)`, no allocation, no re-hashing of survivors on the
 //! next window.
 //!
-//! Arena ids are assignment-order dependent (two engines interning new
-//! screens concurrently race for the next slot), so they must never leak
-//! into analysis results. They don't: the engine's *dense local ids* are
-//! per-window first-appearance order, similarity-cache keys are the
-//! abstract ids themselves, and scores are functions of local structure
-//! only. The `parallel_equivalence` proptests pin this.
+//! Arena ids depend on the order in which engines first meet a screen,
+//! so they never leak into analysis results: the engine's *dense local
+//! ids* are per-window first-appearance order, similarity-cache keys are
+//! the abstract ids themselves, and scores are functions of local
+//! structure only.
 
 use std::collections::HashMap;
 use std::sync::RwLock;
@@ -84,7 +83,7 @@ impl ScreenArena {
             return id;
         }
         let mut inner = self.inner.write().expect("screen arena poisoned");
-        // Double-checked: a racing thread may have interned it meanwhile.
+        // Double-checked: another caller may have interned it meanwhile.
         if let Some(&id) = inner.index.get(&key) {
             return id;
         }
@@ -105,7 +104,7 @@ impl ScreenArena {
     }
 
     /// A snapshot of every interned representative event, sorted by
-    /// abstract id so the snapshot is independent of interning race order
+    /// abstract id so the snapshot is independent of interning order
     /// (arena ids themselves never leak into results). Used to capture
     /// warm-start bundles; re-interning the snapshot into a fresh arena
     /// pre-seeds it without affecting any analysis outcome.

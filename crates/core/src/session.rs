@@ -291,11 +291,7 @@ impl ParallelSession {
             .counter("sessions_started_total")
             .inc();
         let mut pool = PlainPool::new(config.instances);
-        // Single-app runs ride the process-local shared compute pool —
-        // the same machinery campaigns size per-config.
-        let mut step = SessionStep::new(app, config.clone())
-            .with_orphan_repair(true)
-            .with_compute(crate::campaign::pool::ComputePool::shared());
+        let mut step = SessionStep::new(app, config.clone()).with_orphan_repair(true);
         loop {
             // A dedicated pool of capacity d_max can always satisfy the
             // step's demand (demand() never exceeds d_max − active).

@@ -1,27 +1,18 @@
-//! Differential equivalence suite for the parallel hot paths.
+//! Differential equivalence suite for the analysis hot paths.
 //!
-//! The analysis layer's parallel machinery — the sharded
-//! [`SimilarityCache`], the lane-vectorized FindSpace sweep, and batched
-//! per-round ingestion — all promise the same thing: **bit-identical**
-//! output to the serial reference at any shard count, lane width, or
-//! worker count. Each suite here pins one of those promises over random
-//! traces with duplicate timestamps, in the style of the
-//! `findspace_engine_*` proptests:
+//! The lane-vectorized FindSpace sweep and batched per-round ingestion
+//! both promise **bit-identical** output to their serial references.
+//! Each suite here pins one of those promises over random traces with
+//! duplicate timestamps, in the style of the `findspace_engine_*`
+//! proptests:
 //!
-//! 1. `sharded_cache_*`: engines fed through caches of every shard
-//!    count agree with the 1-shard reference — candidates and merged
-//!    cache post-state both;
-//! 2. `vectorized_sweep_*`: `analyze_with_lanes` at every width agrees
+//! 1. `vectorized_sweep_*`: `analyze_with_lanes` at every width agrees
 //!    with `analyze_reference` and the full-rescan reference;
-//! 3. `batched_ingestion_*`: `ingest_round` (at 1 and several analysis
-//!    workers) agrees with one-at-a-time `maybe_analyze` calls — same
-//!    confirmations per round, same final registry, same cache content;
-//! 4. `pooled_ingestion_*`: `ingest_round` through a persistent
-//!    [`ComputePool`] of any budget agrees with both the serial loop
-//!    and the legacy scoped-thread path — the pool is pure mechanism.
+//! 2. `batched_ingestion_*`: `ingest_round` agrees with one-at-a-time
+//!    `maybe_analyze` calls — same confirmations per round, same final
+//!    registry, same cache content.
 //!
-//! Plus the concurrency stress test (8 threads hammering one sharded
-//! cache) and the `forget_instance` occupancy test.
+//! Plus the `forget_instance` occupancy test.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -30,7 +21,6 @@ use proptest::prelude::*;
 
 use taopt::analyzer::{AnalyzerConfig, OnlineTraceAnalyzer};
 use taopt::findspace::{find_space_candidates, FindSpaceConfig, FindSpaceEngine, SimilarityCache};
-use taopt::ComputePool;
 use taopt_toller::InstanceId;
 use taopt_ui_model::abstraction::{AbstractHierarchy, AbstractNode};
 use taopt_ui_model::{
@@ -91,16 +81,12 @@ fn fs_config() -> FindSpaceConfig {
     }
 }
 
-fn analyzer_config(workers: usize) -> AnalyzerConfig {
+fn analyzer_config() -> AnalyzerConfig {
     let mut c = AnalyzerConfig::resource_mode();
     c.find_space = fs_config();
     c.analysis_interval = VirtualDuration::from_secs(10);
     c.min_new_events = 5;
     c.min_subspace_screens = 2;
-    c.analysis_workers = workers;
-    // Every batch in these suites is small; drop the pool routing
-    // threshold so the pooled arm genuinely exercises the pool.
-    c.pool_min_window = 0;
     c
 }
 
@@ -124,54 +110,7 @@ macro_rules! prop_assert_identical {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Suite 1: sharded cache ≡ unsharded. An engine run through a
-    /// cache of any shard count returns the same candidate bits as one
-    /// run through the 1-shard reference, and the merged cache contents
-    /// (shard layout erased by the ordered snapshot) are identical.
-    #[test]
-    fn sharded_cache_equivalent_to_unsharded(
-        events in arb_dup_trace(),
-        chunk in 1usize..=17,
-        l_min_secs in 0u64..80,
-    ) {
-        let mut cfg = fs_config();
-        cfg.l_min = VirtualDuration::from_secs(l_min_secs);
-        let reference_cache = SimilarityCache::with_shards(1);
-        let mut reference = FindSpaceEngine::new(cfg.clone());
-        let mut reference_out = Vec::new();
-        let mut end = 0usize;
-        while end < events.len() {
-            end = (end + chunk).min(events.len());
-            reference.extend_from(&events[..end], &reference_cache);
-            reference_out.push(reference.analyze(5));
-        }
-        for shards in [2usize, 4, 8, 16] {
-            let cache = SimilarityCache::with_shards(shards);
-            prop_assert_eq!(cache.shard_count(), shards);
-            let mut engine = FindSpaceEngine::new(cfg.clone());
-            let mut end = 0usize;
-            let mut step = 0usize;
-            while end < events.len() {
-                end = (end + chunk).min(events.len());
-                engine.extend_from(&events[..end], &cache);
-                prop_assert_identical!(
-                    engine.analyze(5),
-                    reference_out[step],
-                    format_args!("shards {shards} prefix {end}")
-                );
-                step += 1;
-            }
-            prop_assert_eq!(
-                cache.snapshot(),
-                reference_cache.snapshot(),
-                "cache content diverged at {} shards",
-                shards
-            );
-            prop_assert_eq!(cache.len(), reference_cache.len());
-        }
-    }
-
-    /// Suite 2: vectorized kernel ≡ scalar. The lane sweep at every
+    /// Suite 1: vectorized kernel ≡ scalar. The lane sweep at every
     /// width matches the verbatim scalar loop (`analyze_reference`) and
     /// the full-rescan reference, bit for bit, on every prefix.
     #[test]
@@ -210,19 +149,18 @@ proptest! {
         }
     }
 
-    /// Suite 3: batched ingestion ≡ one-at-a-time. Feeding every
-    /// instance's trace through `ingest_round` — at one worker and at
-    /// several — produces the same per-round confirmations, the same
-    /// final subspace registry, and the same similarity-cache content
-    /// as sequential `maybe_analyze` calls in the same order.
+    /// Suite 2: batched ingestion ≡ one-at-a-time. Feeding every
+    /// instance's trace through `ingest_round` produces the same
+    /// per-round confirmations, the same final subspace registry, and
+    /// the same similarity-cache content as sequential `maybe_analyze`
+    /// calls in the same order.
     #[test]
     fn batched_ingestion_equivalent_to_serial(
         traces in arb_instance_traces(),
         chunk in 3usize..=20,
     ) {
-        let mut serial = OnlineTraceAnalyzer::new(analyzer_config(1));
-        let mut batched = OnlineTraceAnalyzer::new(analyzer_config(1));
-        let mut threaded = OnlineTraceAnalyzer::new(analyzer_config(4));
+        let mut serial = OnlineTraceAnalyzer::new(analyzer_config());
+        let mut batched = OnlineTraceAnalyzer::new(analyzer_config());
         let rounds = traces
             .iter()
             .map(|t| t.len().div_ceil(chunk))
@@ -245,141 +183,14 @@ proptest! {
             let batch: Vec<(InstanceId, &Trace)> =
                 prefixes.iter().map(|(id, t)| (*id, t)).collect();
             let batched_confirmed = batched.ingest_round(&batch, now);
-            let threaded_confirmed = threaded.ingest_round(&batch, now);
             prop_assert_eq!(&serial_confirmed, &batched_confirmed, "round {}", round);
-            prop_assert_eq!(&serial_confirmed, &threaded_confirmed, "round {} (threaded)", round);
         }
         prop_assert_eq!(serial.subspaces(), batched.subspaces());
-        prop_assert_eq!(serial.subspaces(), threaded.subspaces());
         prop_assert_eq!(
             serial.similarity_cache().snapshot(),
             batched.similarity_cache().snapshot()
         );
-        prop_assert_eq!(
-            serial.similarity_cache().snapshot(),
-            threaded.similarity_cache().snapshot()
-        );
     }
-
-    /// Suite 4: pooled ingestion ≡ scoped ≡ serial. Attaching a
-    /// persistent [`ComputePool`] of any budget to the analyzer changes
-    /// only *where* phase A runs, never what it computes: per-round
-    /// confirmations, the final subspace registry, and the
-    /// similarity-cache content all match both the one-at-a-time serial
-    /// reference and the legacy per-round scoped-thread path.
-    #[test]
-    fn pooled_ingestion_equivalent_to_scoped(
-        traces in arb_instance_traces(),
-        chunk in 3usize..=20,
-        budget_sel in 0usize..4,
-    ) {
-        let budget = [1usize, 2, 4, 8][budget_sel];
-        let mut serial = OnlineTraceAnalyzer::new(analyzer_config(1));
-        let mut scoped = OnlineTraceAnalyzer::new(analyzer_config(4));
-        let mut pooled = OnlineTraceAnalyzer::new(analyzer_config(1));
-        pooled.set_compute(ComputePool::new(budget));
-        let rounds = traces
-            .iter()
-            .map(|t| t.len().div_ceil(chunk))
-            .max()
-            .unwrap_or(0);
-        for round in 0..rounds {
-            let now = VirtualTime::from_secs((round as u64 + 1) * 15);
-            let prefixes: Vec<(InstanceId, Trace)> = traces
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let end = ((round + 1) * chunk).min(t.len());
-                    (InstanceId(i as u32), t[..end].iter().cloned().collect())
-                })
-                .collect();
-            let mut serial_confirmed = Vec::new();
-            for (id, trace) in &prefixes {
-                serial_confirmed.extend(serial.maybe_analyze(*id, trace, now));
-            }
-            let batch: Vec<(InstanceId, &Trace)> =
-                prefixes.iter().map(|(id, t)| (*id, t)).collect();
-            let scoped_confirmed = scoped.ingest_round(&batch, now);
-            let pooled_confirmed = pooled.ingest_round(&batch, now);
-            prop_assert_eq!(&serial_confirmed, &scoped_confirmed, "round {} (scoped)", round);
-            prop_assert_eq!(
-                &serial_confirmed,
-                &pooled_confirmed,
-                "round {} (pool budget {})",
-                round,
-                budget
-            );
-        }
-        prop_assert_eq!(serial.subspaces(), scoped.subspaces());
-        prop_assert_eq!(serial.subspaces(), pooled.subspaces());
-        prop_assert_eq!(
-            serial.similarity_cache().snapshot(),
-            pooled.similarity_cache().snapshot()
-        );
-    }
-}
-
-/// Concurrency stress: 8 threads hammer one sharded cache with
-/// interleaved reads and inserts over the same pair population. No
-/// entry may be lost, the post-state must equal a serial fill, and the
-/// duplicate-computation overhead is bounded by the racy-insert
-/// allowance (each thread computes a given pair at most once: after its
-/// own insert it always hits).
-#[test]
-fn stress_sharded_cache_under_8_threads() {
-    const THREADS: usize = 8;
-    const SCREENS: u64 = 24;
-    let events: Vec<TraceEvent> = (0..SCREENS).map(|i| ev(i, i as u32)).collect();
-    let pairs: Vec<(usize, usize)> = (0..events.len())
-        .flat_map(|i| (i + 1..events.len()).map(move |j| (i, j)))
-        .collect();
-
-    let cache = SimilarityCache::new();
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let cache = &cache;
-            let events = &events;
-            let pairs = &pairs;
-            s.spawn(move || {
-                // Each thread walks the pair set from a different phase
-                // and stride (coprime with the pair count), twice — the
-                // second pass is all reads — maximizing shard-lock
-                // interleavings without a randomness dependency.
-                let n = pairs.len();
-                let stride = [1usize, 3, 7, 11, 13, 17, 19, 23][t];
-                for pass in 0..2 {
-                    for k in 0..n {
-                        let (i, j) = pairs[(t * 31 + pass + k * stride) % n];
-                        let d = cache.similar(&events[i], &events[j], 0.9);
-                        // Decisions are pure: every ask agrees.
-                        assert_eq!(d, cache.similar(&events[i], &events[j], 0.9));
-                    }
-                }
-            });
-        }
-    });
-
-    let serial = SimilarityCache::with_shards(1);
-    for &(i, j) in &pairs {
-        serial.similar(&events[i], &events[j], 0.9);
-    }
-
-    assert_eq!(cache.len(), pairs.len(), "lost entries");
-    assert_eq!(
-        cache.snapshot(),
-        serial.snapshot(),
-        "post-state diverged from serial fill"
-    );
-    let computations = cache.computations();
-    assert!(
-        computations >= pairs.len() as u64,
-        "every distinct pair must be computed at least once"
-    );
-    assert!(
-        computations <= (pairs.len() * THREADS) as u64,
-        "duplicate computations beyond the racy-insert allowance: {computations} > {} × {THREADS}",
-        pairs.len()
-    );
 }
 
 /// Occupancy: forgetting an instance evicts cache decisions for screens
@@ -391,7 +202,7 @@ fn forget_instance_evicts_only_exclusive_screens() {
     // Labels 0..6 are exclusive to instance 0; 6..10 shared; 10..16
     // exclusive to instance 1. Long l_min keeps the windows unsplit so
     // each engine retains its full screen set.
-    let mut cfg = analyzer_config(1);
+    let mut cfg = analyzer_config();
     cfg.find_space.l_min = VirtualDuration::from_mins(30);
     let trace_a: Trace = (0..24).map(|i| ev(i * 2, (i % 10) as u32)).collect();
     let trace_b: Trace = (0..24).map(|i| ev(i * 2, 6 + (i % 10) as u32)).collect();

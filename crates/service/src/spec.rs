@@ -124,11 +124,8 @@ pub struct CampaignSpec {
     pub apps: Vec<AppSpec>,
     /// Per-app experiment scale (instances, duration, tick, ...).
     pub scale: ExperimentScale,
-    /// Worker threads for the parallel phase (legacy alias of
-    /// `host_threads`; see [`CampaignConfig::workers`]).
-    pub workers: usize,
-    /// Campaign-wide host compute-thread budget shared by round
-    /// advancement and analysis (`0` = auto-detect). Never affects
+    /// Campaign-wide host-thread budget for round advancement (`0` =
+    /// auto-detect). Never affects
     /// results — only host-side speed — so a checkpoint written under
     /// one budget restores byte-identical under another.
     pub host_threads: usize,
@@ -154,7 +151,6 @@ impl CampaignSpec {
             name: name.into(),
             apps,
             scale,
-            workers: defaults.workers,
             host_threads: defaults.host_threads,
             capacity: defaults.capacity,
             min_hold_rounds: defaults.min_hold_rounds,
@@ -189,9 +185,7 @@ impl CampaignSpec {
             });
         }
         let config = CampaignConfig {
-            workers: self.workers,
             host_threads: self.host_threads,
-            scoped_threads: false,
             capacity: self.capacity,
             min_hold_rounds: self.min_hold_rounds,
             kills: self.kills.clone(),
@@ -239,7 +233,6 @@ impl CampaignSpec {
             ("name".to_owned(), Value::Str(self.name.clone())),
             ("apps".to_owned(), Value::Array(apps)),
             ("scale".to_owned(), scale_to_value(&self.scale)),
-            ("workers".to_owned(), Value::UInt(self.workers as u64)),
             (
                 "host_threads".to_owned(),
                 Value::UInt(self.host_threads as u64),
@@ -266,6 +259,10 @@ impl CampaignSpec {
 
     /// Deserializes a spec, failing with [`JsonError`] on missing or
     /// mistyped fields.
+    ///
+    /// A `workers` key, written by specs from before the single
+    /// `host_threads` budget, is accepted and ignored: the host budget
+    /// never affects results.
     pub fn from_value(v: &Value) -> Result<Self, JsonError> {
         let apps_v = v
             .require("apps")?
@@ -336,7 +333,6 @@ impl CampaignSpec {
                 .to_owned(),
             apps,
             scale: scale_from_value(v.require("scale")?)?,
-            workers: u("workers")? as usize,
             // Optional for back-compat: checkpoints written before the
             // host-budget knob parse as 0 (auto-detect) — safe because
             // the budget never affects results.
@@ -461,7 +457,6 @@ mod tests {
             ],
             ExperimentScale::quick(),
         );
-        spec.workers = 2;
         spec.host_threads = 3;
         spec.capacity = Some(4);
         spec.kills = vec![KillEvent {
@@ -492,9 +487,7 @@ mod tests {
         assert_eq!(apps.len(), 2);
         assert_eq!(apps[0].name, "alpha");
         assert_eq!(apps[1].name, "AbsWorkout");
-        assert_eq!(config.workers, 2);
         assert_eq!(config.host_threads, 3);
-        assert!(!config.scoped_threads);
         assert_eq!(config.capacity, Some(4));
         assert_eq!(config.kills.len(), 1);
         assert!(config.faults.is_some());
@@ -518,7 +511,7 @@ mod tests {
         );
         let back = CampaignSpec::from_value(&legacy).unwrap();
         assert_eq!(back.host_threads, 0);
-        assert_eq!(back.workers, spec.workers);
+        assert_eq!(back.apps, spec.apps);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Service-level integration and property tests: checkpoint-at-any-round
-//! resume is byte-identical (including across worker counts and under
+//! resume is byte-identical (including across host budgets and under
 //! fault plans), damaged checkpoints are rejected cleanly, and the
 //! service queue/priority/crash/recover lifecycle reproduces direct
 //! [`run_campaign`] results exactly.
@@ -31,7 +31,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// A tiny but fully-featured campaign spec: `n` two-instance generated
 /// apps, mixed tools/modes, and (on even seeds) a fault plan plus a
 /// scheduled device kill, so resume is also exercised under chaos.
-fn tiny_spec(n_apps: usize, seed: u64, workers: usize) -> CampaignSpec {
+fn tiny_spec(n_apps: usize, seed: u64, host_threads: usize) -> CampaignSpec {
     let scale = ExperimentScale {
         instances: 2,
         duration: VirtualDuration::from_mins(3),
@@ -61,7 +61,7 @@ fn tiny_spec(n_apps: usize, seed: u64, workers: usize) -> CampaignSpec {
         })
         .collect();
     let mut spec = CampaignSpec::new(format!("tiny-{n_apps}-{seed}"), apps, scale);
-    spec.workers = workers;
+    spec.host_threads = host_threads;
     if seed.is_multiple_of(2) {
         spec.faults = Some(FaultPlan::new(seed, FaultRates::uniform(0.02)));
         spec.kills = vec![KillEvent {
@@ -82,20 +82,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Core durability law: stop a campaign at *any* round, round-trip the
-    /// checkpoint through disk, resume — possibly with a different worker
-    /// count — and the finished coverage report is byte-identical to an
+    /// checkpoint through disk, resume — possibly with a different host
+    /// budget — and the finished coverage report is byte-identical to an
     /// uninterrupted run.
     #[test]
     fn checkpoint_any_round_resume_is_byte_identical(
         n_apps in 1usize..4,
         seed in 0u64..500,
-        workers_sel in 0usize..3,
-        resume_sel in 0usize..3,
+        budget_sel in 0usize..4,
+        resume_sel in 0usize..4,
         stop_round in 1u64..12,
     ) {
-        let workers = [1usize, 2, 4][workers_sel];
-        let resume_workers = [1usize, 2, 4][resume_sel];
-        let spec = tiny_spec(n_apps, seed, workers);
+        let budget = [1usize, 2, 4, 8][budget_sel];
+        let resume_budget = [1usize, 2, 4, 8][resume_sel];
+        let spec = tiny_spec(n_apps, seed, budget);
         let reference = direct_report(&spec);
 
         let (apps, config) = spec.build().unwrap();
@@ -115,7 +115,7 @@ proptest! {
         let digest = campaign.digest();
         drop(campaign);
         let store = CheckpointStore::new(scratch(&format!(
-            "prop-{n_apps}-{seed}-{workers}-{resume_workers}-{stop_round}"
+            "prop-{n_apps}-{seed}-{budget}-{resume_budget}-{stop_round}"
         )))
         .unwrap();
         let path = store
@@ -134,7 +134,7 @@ proptest! {
 
         // Resume: rebuild, replay, verify the digest, run to completion.
         let mut resumed_spec = ckpt.spec;
-        resumed_spec.workers = resume_workers;
+        resumed_spec.host_threads = resume_budget;
         let (apps, config) = resumed_spec.build().unwrap();
         let mut resumed = Campaign::new(apps, &config);
         while resumed.round() < ckpt.round {
@@ -161,8 +161,7 @@ proptest! {
         stop_round in 1u64..10,
     ) {
         let budgets = [1usize, 2, 4, 8];
-        let mut spec = tiny_spec(n_apps, seed, 2);
-        spec.host_threads = 1;
+        let spec = tiny_spec(n_apps, seed, 1);
         let reference = direct_report(&spec);
         for b in [2usize, 4, 8] {
             let mut s = spec.clone();
@@ -591,4 +590,30 @@ fn recover_reports_unreadable_checkpoints_without_dying() {
     );
     service.shutdown();
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn legacy_workers_key_is_accepted_and_ignored() {
+    // Specs written before the single host budget carry a `workers` key
+    // and no `host_threads`. They still decode, to the spec without the
+    // key, and run to the same coverage report.
+    let spec = tiny_spec(2, 60, 1);
+    let Value::Object(fields) = spec.to_value() else {
+        panic!("spec serializes to an object")
+    };
+    assert!(
+        fields.iter().all(|(k, _)| k != "workers"),
+        "encoding must not write `workers`"
+    );
+    let without: Vec<(String, Value)> = fields
+        .into_iter()
+        .filter(|(k, _)| k != "host_threads")
+        .collect();
+    let mut with = without.clone();
+    with.push(("workers".to_owned(), Value::UInt(4)));
+    let legacy = CampaignSpec::from_value(&Value::Object(with)).unwrap();
+    let plain = CampaignSpec::from_value(&Value::Object(without)).unwrap();
+    assert_eq!(legacy, plain);
+    assert_eq!(legacy.host_threads, 0, "no host budget means auto-detect");
+    assert_eq!(direct_report(&legacy), direct_report(&plain));
 }

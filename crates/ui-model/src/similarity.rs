@@ -18,116 +18,52 @@ use crate::trace::TraceEvent;
 /// screen" in trace analysis.
 pub const DEFAULT_SIMILARITY_THRESHOLD: f64 = 0.9;
 
-/// Shard count of [`SimilarityCache`]: enough that eight concurrent
-/// engine analyses rarely meet on one lock, small enough that `len`
-/// (which sums shard sizes) stays cheap.
-const DEFAULT_SHARDS: usize = 16;
-
-/// One lock-striped shard of the cache map.
-type Shard = RwLock<HashMap<(u64, u64), bool>>;
-
 /// A persistent, thread-safe cache of pairwise screen-similarity
 /// decisions, keyed by abstract-screen-id pairs.
 ///
-/// One cache serves a whole parallel run: the analyzer re-runs
-/// `FindSpace` every few seconds per instance and the distinct-screen
-/// population is shared, so cached decisions eliminate the dominant
-/// `O(D²)` tree-similarity cost of repeated analyses.
+/// One cache serves one app's analyzer: it re-runs `FindSpace` every
+/// few seconds per instance and the distinct-screen population is
+/// shared, so cached decisions eliminate the dominant `O(D²)`
+/// tree-similarity cost of repeated analyses.
 ///
-/// The map is split into `N` shards, each behind its own `RwLock`,
-/// selected by a hash of the (ordered) screen-pair key. Lookups take a
-/// shard *read* lock, so concurrent engine analyses over a warm cache
-/// never contend; only a miss (one per distinct pair per run) takes the
-/// write lock. Because a decision is a pure function of the pair — both
-/// hierarchies are immutable once interned — a racy duplicate compute
-/// inserts the identical value, so results are independent of thread
-/// interleaving (the *racy-insert allowance*: each thread computes a
-/// given pair at most once, pinned by the concurrency stress test).
-#[derive(Debug)]
+/// The map sits behind one `RwLock` so the API takes `&self`. A
+/// decision is a pure function of the pair — both hierarchies are
+/// immutable once interned — so the cache's contents never depend on
+/// the order in which pairs are asked.
+#[derive(Debug, Default)]
 pub struct SimilarityCache {
-    shards: Box<[Shard]>,
-    /// `shards.len() - 1`; shard count is always a power of two.
-    mask: u64,
-    /// Tree-similarity evaluations performed (cache misses, including
-    /// racy duplicates).
+    map: RwLock<HashMap<(u64, u64), bool>>,
+    /// Tree-similarity evaluations performed (cache misses).
     computations: AtomicU64,
     /// Lookups answered from the cache.
     hits: AtomicU64,
 }
 
-/// Mixes a pair key into a shard index (SplitMix64 finalizer): the raw
-/// abstract ids are near-sequential hashes already, but xor-folding both
-/// endpoints through an avalanche keeps sibling pairs off one shard.
-fn shard_of(key: (u64, u64), mask: u64) -> usize {
-    let mut x = key.0 ^ key.1.rotate_left(32);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    ((x ^ (x >> 31)) & mask) as usize
-}
-
-impl Default for SimilarityCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SimilarityCache {
-    /// Creates an empty cache with the default shard count.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+        Self::default()
     }
 
-    /// Creates an empty cache with `shards` shards (rounded up to a
-    /// power of two, minimum 1). `with_shards(1)` is the unsharded
-    /// reference the differential tests pin against.
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        SimilarityCache {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            mask: (n - 1) as u64,
-            computations: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-        }
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<(u64, u64), bool>> {
+        self.map.read().expect("similarity cache poisoned")
     }
 
-    /// Creates an empty cache pre-sized for `screens` distinct abstract
-    /// screens (one decision per unordered pair, spread over shards).
-    pub fn with_screen_capacity(screens: usize) -> Self {
-        let cache = Self::new();
-        let pairs = screens * screens.saturating_sub(1) / 2;
-        let per_shard = pairs / cache.shards.len() + 1;
-        for shard in cache.shards.iter() {
-            shard
-                .write()
-                .expect("similarity shard poisoned")
-                .reserve(per_shard);
-        }
-        cache
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<(u64, u64), bool>> {
+        self.map.write().expect("similarity cache poisoned")
     }
 
     /// Number of cached pair decisions.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("similarity shard poisoned").len())
-            .sum()
+        self.read().len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.read().expect("similarity shard poisoned").is_empty())
+        self.read().is_empty()
     }
 
-    /// Tree-similarity evaluations performed so far (cache misses;
-    /// includes racy duplicates, so under concurrency this is between
-    /// the distinct-pair count and `pairs × threads`).
+    /// Tree-similarity evaluations performed so far (cache misses).
     pub fn computations(&self) -> u64 {
         self.computations.load(Ordering::Relaxed)
     }
@@ -139,10 +75,6 @@ impl SimilarityCache {
 
     /// Whether two events' screens count as "the same screen" at
     /// `threshold`, computing and caching the decision on first ask.
-    ///
-    /// Takes `&self`: concurrent engines may interleave lookups freely —
-    /// the decision for a pair is the same no matter which thread
-    /// computes it, so sharing is safe and deterministic.
     pub fn similar(&self, a: &TraceEvent, b: &TraceEvent, threshold: f64) -> bool {
         if a.abstract_id == b.abstract_id {
             return true;
@@ -152,20 +84,13 @@ impl SimilarityCache {
         } else {
             (b.abstract_id.0, a.abstract_id.0)
         };
-        let shard = &self.shards[shard_of(key, self.mask)];
-        if let Some(&d) = shard.read().expect("similarity shard poisoned").get(&key) {
+        if let Some(&d) = self.read().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return d;
         }
-        // Miss: compute outside any lock (tree similarity is the
-        // expensive part), then publish. A racing thread may have
-        // inserted meanwhile — same pair, same decision.
         let decision = tree_similarity(&a.abstraction, &b.abstraction) >= threshold;
         self.computations.fetch_add(1, Ordering::Relaxed);
-        shard
-            .write()
-            .expect("similarity shard poisoned")
-            .insert(key, decision);
+        self.write().insert(key, decision);
         decision
     }
 
@@ -177,14 +102,10 @@ impl SimilarityCache {
         if screens.is_empty() {
             return 0;
         }
-        let mut evicted = 0;
-        for shard in self.shards.iter() {
-            let mut map = shard.write().expect("similarity shard poisoned");
-            let before = map.len();
-            map.retain(|k, _| !screens.contains(&k.0) && !screens.contains(&k.1));
-            evicted += before - map.len();
-        }
-        evicted
+        let mut map = self.write();
+        let before = map.len();
+        map.retain(|k, _| !screens.contains(&k.0) && !screens.contains(&k.1));
+        before - map.len()
     }
 
     /// Seeds the cache with precomputed pair decisions (e.g. a warm-start
@@ -195,11 +116,10 @@ impl SimilarityCache {
     /// pair, so a pre-seeded entry only skips the compute that would have
     /// produced the identical value.
     pub fn seed<'a>(&self, entries: impl IntoIterator<Item = &'a ((u64, u64), bool)>) -> usize {
+        let mut map = self.write();
         let mut inserted = 0;
         for ((a, b), decision) in entries {
             let key = if a <= b { (*a, *b) } else { (*b, *a) };
-            let shard = &self.shards[shard_of(key, self.mask)];
-            let mut map = shard.write().expect("similarity shard poisoned");
             if map.insert(key, *decision).is_none() {
                 inserted += 1;
             }
@@ -207,17 +127,10 @@ impl SimilarityCache {
         inserted
     }
 
-    /// Deterministic snapshot of every cached decision, merged across
-    /// shards in ascending key order — the post-state comparator of the
-    /// differential and stress tests (shard layout never leaks into it).
+    /// Deterministic snapshot of every cached decision in ascending key
+    /// order.
     pub fn snapshot(&self) -> BTreeMap<(u64, u64), bool> {
-        let mut out = BTreeMap::new();
-        for shard in self.shards.iter() {
-            for (k, v) in shard.read().expect("similarity shard poisoned").iter() {
-                out.insert(*k, *v);
-            }
-        }
-        out
+        self.read().iter().map(|(k, v)| (*k, *v)).collect()
     }
 }
 

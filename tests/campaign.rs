@@ -4,8 +4,11 @@
 use std::sync::Arc;
 
 use taopt::campaign::{run_campaign, CampaignApp, CampaignConfig, KillEvent};
+use taopt::experiments::ExperimentScale;
 use taopt::session::{ParallelSession, RunMode, SessionConfig};
 use taopt_app_sim::{generate_app, App, GeneratorConfig};
+use taopt_chaos::{FaultPlan, FaultRates};
+use taopt_service::{AppSource, AppSpec, CampaignSpec};
 use taopt_tools::ToolKind;
 use taopt_ui_model::VirtualDuration;
 
@@ -49,22 +52,25 @@ fn catalog() -> Vec<CampaignApp> {
         .collect()
 }
 
+/// The coverage report of [`catalog`] at contended capacity (7 of 15
+/// wanted devices, so the lease rotation runs too) under a host budget.
+fn contended_report(host_threads: usize) -> String {
+    let config = CampaignConfig {
+        host_threads,
+        capacity: Some(7),
+        ..CampaignConfig::default()
+    };
+    run_campaign(catalog(), &config).coverage_report()
+}
+
 #[test]
 fn campaign_is_deterministic_across_worker_counts() {
     // The headline correctness property: the coverage report — every
     // per-app, per-instance, per-round observable — is byte-identical no
-    // matter how many workers advance the steps. Contended capacity (7 of
-    // 15 wanted devices) exercises the lease rotation too.
+    // matter how many pool workers advance the steps.
     let reports: Vec<String> = [1usize, 2, 4]
         .iter()
-        .map(|&workers| {
-            let config = CampaignConfig {
-                workers,
-                capacity: Some(7),
-                ..CampaignConfig::default()
-            };
-            run_campaign(catalog(), &config).coverage_report()
-        })
+        .map(|&w| contended_report(w))
         .collect();
     assert_eq!(
         reports[0], reports[1],
@@ -78,42 +84,17 @@ fn campaign_is_deterministic_across_worker_counts() {
 
 #[test]
 fn campaign_is_deterministic_across_host_budgets() {
-    // The compute-pool counterpart of the worker-count law: the host
-    // thread budget decides only how fast rounds advance, never what
-    // they compute. Reports are byte-identical across budgets, with and
-    // without the legacy scoped-thread path, at fixed logical workers.
-    let reference = {
-        let config = CampaignConfig {
-            workers: 2,
-            host_threads: 1,
-            capacity: Some(7),
-            ..CampaignConfig::default()
-        };
-        run_campaign(catalog(), &config).coverage_report()
-    };
-    for host_threads in [2usize, 4, 8] {
-        let config = CampaignConfig {
-            workers: 2,
-            host_threads,
-            capacity: Some(7),
-            ..CampaignConfig::default()
-        };
-        let report = run_campaign(catalog(), &config).coverage_report();
+    // The host thread budget decides only how fast rounds advance, never
+    // what they compute: the auto-detected budget (0) and an
+    // oversubscribed one (8) reproduce the single-thread report.
+    let reference = contended_report(1);
+    for host_threads in [0usize, 8] {
         assert_eq!(
-            reference, report,
+            reference,
+            contended_report(host_threads),
             "host_threads={host_threads} diverged from host_threads=1"
         );
     }
-    let scoped = {
-        let config = CampaignConfig {
-            workers: 2,
-            scoped_threads: true,
-            capacity: Some(7),
-            ..CampaignConfig::default()
-        };
-        run_campaign(catalog(), &config).coverage_report()
-    };
-    assert_eq!(reference, scoped, "legacy scoped-thread path diverged");
     // Host timing is observability, never part of the report — but it
     // must be *recorded*: every round lands in the global histogram
     // that /metrics surfaces.
@@ -129,7 +110,7 @@ fn shared_farm_never_double_allocates() {
         .counter("campaign_lease_conflicts_total")
         .get();
     let config = CampaignConfig {
-        workers: 4,
+        host_threads: 4,
         capacity: Some(5),
         ..CampaignConfig::default()
     };
@@ -195,7 +176,7 @@ fn contended_campaign_matches_uncontended_coverage_order() {
 #[test]
 fn killed_devices_are_replaced_and_no_subspace_is_orphaned() {
     let config = CampaignConfig {
-        workers: 2,
+        host_threads: 2,
         kills: vec![
             KillEvent {
                 round: 6,
@@ -257,4 +238,46 @@ fn single_app_campaign_matches_serial_session() {
         assert_eq!(a.cover_events, b.cover_events);
         assert_eq!(a.trace.len(), b.trace.len());
     }
+}
+
+#[test]
+fn a_campaign_whose_devices_are_all_refused_waits_instead_of_ending() {
+    // Fault seed 197 refuses the only app's first allocation, so the
+    // initial boundary leaves it live but holding no device. That round
+    // must become a waiting round (frozen clock, next boundary retries),
+    // not the end of the campaign.
+    let mut spec = CampaignSpec::new(
+        "refused-start",
+        vec![AppSpec {
+            source: AppSource::Catalog("Sketch".to_owned()),
+            tool: ToolKind::Ape,
+            mode: RunMode::TaoptDuration,
+            seed: 1197,
+        }],
+        ExperimentScale {
+            instances: 2,
+            duration: VirtualDuration::from_mins(10),
+            ..ExperimentScale::quick()
+        },
+    );
+    spec.faults = Some(FaultPlan::new(197, FaultRates::uniform(0.005)));
+    let reports: Vec<String> = [1usize, 2, 4]
+        .iter()
+        .map(|&host_threads| {
+            spec.host_threads = host_threads;
+            let (apps, config) = spec.build().unwrap();
+            let result = run_campaign(apps, &config);
+            let app = &result.apps[0];
+            assert!(
+                app.finished_round >= 60,
+                "campaign ended early at round {}",
+                app.finished_round
+            );
+            assert!(app.wait_rounds > 0, "the refused start was not a wait");
+            assert!(app.session.union_coverage() > 0);
+            result.coverage_report()
+        })
+        .collect();
+    assert_eq!(reports[0], reports[1], "host budgets 1 and 2 diverged");
+    assert_eq!(reports[0], reports[2], "host budgets 1 and 4 diverged");
 }
