@@ -1,6 +1,7 @@
 //! The validated, immutable app specification.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use taopt_ui_model::{
     ActionId, ActivityId, Bounds, ScreenId, StochasticDigraph, UiHierarchy, Widget, WidgetClass,
@@ -230,30 +231,39 @@ impl App {
     /// structural row per page, so each page abstracts to a distinct
     /// screen identity (scrolling reveals genuinely new UI).
     ///
+    /// The render is the page's structure followed by its visit text;
+    /// [`crate::AppRuntime::observe`] caches the structure per
+    /// `(screen, page)` and repeats only the text.
+    ///
     /// # Panics
     ///
     /// Panics if `id` is not a screen of this app.
     pub fn render_screen_page(&self, id: ScreenId, visit_count: u64, page: usize) -> UiHierarchy {
+        let mut hierarchy = self.render_structure(id, page);
+        self.fill_volatile(id, visit_count, &mut hierarchy);
+        hierarchy
+    }
+
+    /// The visit-independent part of a screen render: every widget with
+    /// its class, resource id, bounds, affordance and static label. The
+    /// volatile text slots (title, decorations, feed rows) are left
+    /// empty for [`App::fill_volatile`].
+    pub(crate) fn render_structure(&self, id: ScreenId, page: usize) -> UiHierarchy {
         let spec = self
             .screens
             .get(&id)
             .expect("render_screen: unknown screen");
         let mut root = Widget::container(WidgetClass::LinearLayout);
-        root.resource_id = Some(format!("{}_root", spec.name));
-        // Title bar with volatile text.
+        root.resource_id = Some(Arc::from(format!("{}_root", spec.name)));
+        // Title bar.
         root = root.with_child(
-            Widget::text_view(&format!("{}_title", spec.name), &spec.name)
-                .with_text(&format!("{} · view {}", spec.name, visit_count))
+            Widget::leaf(WidgetClass::TextView, &format!("{}_title", spec.name))
                 .with_bounds(Bounds::new(0, 0, 1080, 120)),
         );
-        // Decorative widgets (images, labels) with volatile text.
+        // Decorative widgets (images, labels).
         for d in 0..spec.decorations {
             root = root.with_child(
                 Widget::leaf(WidgetClass::ImageView, &format!("{}_deco{}", spec.name, d))
-                    .with_text(&format!(
-                        "promo {}",
-                        visit_count.wrapping_mul(31).wrapping_add(d as u64)
-                    ))
                     .with_bounds(Bounds::new(
                         0,
                         120 + 80 * d as i32,
@@ -269,7 +279,6 @@ impl App {
                     WidgetClass::TextView,
                     &format!("{}_feedrow{}", spec.name, pg),
                 )
-                .with_text(&format!("feed item {pg} / view {visit_count}"))
                 .with_bounds(Bounds::new(
                     0,
                     2000 + 60 * pg as i32,
@@ -297,6 +306,40 @@ impl App {
             );
         }
         UiHierarchy::new(root)
+    }
+
+    /// Writes the visit-dependent text (title, decorations, feed rows:
+    /// badge counters, timestamps, product names…) into a structure from
+    /// [`App::render_structure`] of the same screen. The text never
+    /// reaches the abstraction, so every visit abstracts alike.
+    pub(crate) fn fill_volatile(
+        &self,
+        id: ScreenId,
+        visit_count: u64,
+        hierarchy: &mut UiHierarchy,
+    ) {
+        let spec = self
+            .screens
+            .get(&id)
+            .expect("render_screen: unknown screen");
+        let (title, rest) = hierarchy
+            .root_mut()
+            .children
+            .split_first_mut()
+            .expect("a rendered screen starts with its title bar");
+        title.text = Some(format!("{} · view {}", spec.name, visit_count));
+        let (decorations, rest) = rest.split_at_mut(spec.decorations);
+        for (d, w) in decorations.iter_mut().enumerate() {
+            w.text = Some(format!(
+                "promo {}",
+                visit_count.wrapping_mul(31).wrapping_add(d as u64)
+            ));
+        }
+        // Feed rows sit between the decorations and the action widgets.
+        let rows = rest.len() - spec.actions.len();
+        for (pg, w) in rest[..rows].iter_mut().enumerate() {
+            w.text = Some(format!("feed item {pg} / view {visit_count}"));
+        }
     }
 }
 

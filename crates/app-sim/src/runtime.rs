@@ -1,5 +1,6 @@
 //! The app execution engine: one running copy of an app on one emulator.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -7,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use taopt_ui_model::abstraction::{abstract_hierarchy, AbstractHierarchy};
-use taopt_ui_model::{Action, ActionId, ScreenId, ScreenObservation, VirtualTime};
+use taopt_ui_model::{Action, ActionId, ScreenId, ScreenObservation, UiHierarchy, VirtualTime};
 
 use crate::app::App;
 use crate::crash::CrashSignature;
@@ -26,6 +27,16 @@ pub struct StepOutcome {
     pub crash: Option<CrashSignature>,
     /// Whether the step changed the current screen.
     pub transitioned: bool,
+}
+
+/// What [`AppRuntime::observe`] keeps per `(screen, feed page)`.
+#[derive(Debug, Clone)]
+struct RenderedPage {
+    abstraction: Arc<AbstractHierarchy>,
+    /// The page's widget tree without its volatile text
+    /// ([`App::render_structure`]); kept from the page's second
+    /// observation on, so a page seen once costs one render and no copy.
+    structure: Option<UiHierarchy>,
 }
 
 /// One running instance of an [`App`]: screen pointer, back stack,
@@ -48,7 +59,7 @@ pub struct AppRuntime {
     functionality_visits: HashMap<FunctionalityId, HashSet<ScreenId>>,
     logged_in: bool,
     restarts: u32,
-    abstraction_cache: HashMap<(ScreenId, usize), Arc<AbstractHierarchy>>,
+    render_cache: HashMap<(ScreenId, usize), RenderedPage>,
     feed_pages: HashMap<ScreenId, usize>,
     feed_pages_seen: HashMap<ScreenId, usize>,
 }
@@ -68,7 +79,7 @@ impl AppRuntime {
             functionality_visits: HashMap::new(),
             logged_in: false,
             restarts: 0,
-            abstraction_cache: HashMap::new(),
+            render_cache: HashMap::new(),
             feed_pages: HashMap::new(),
             feed_pages_seen: HashMap::new(),
             app,
@@ -125,21 +136,36 @@ impl AppRuntime {
     /// Renders the current screen as an observation (no state change
     /// besides the implicit render).
     ///
-    /// Abstractions are cached per screen: volatile text differs between
-    /// renders but never affects the abstraction, so the cache is exact.
+    /// Renders are cached per `(screen, feed page)`: volatile text differs
+    /// between renders but never affects the structure or the
+    /// abstraction, so the cache is exact. The first observation of a
+    /// page is one full render; from the second on, the observation is a
+    /// clone of the cached structure with the visit's text written in.
     pub fn observe(&mut self, time: VirtualTime) -> ScreenObservation {
-        let spec = self
-            .app
-            .screen(self.current)
-            .expect("current screen exists");
-        let visits = self.visit_counts.get(&self.current).copied().unwrap_or(0);
-        let page = self.feed_pages.get(&self.current).copied().unwrap_or(0);
-        let hierarchy = self.app.render_screen_page(spec.id, visits, page);
-        let abstraction = self
-            .abstraction_cache
-            .entry((spec.id, page))
-            .or_insert_with(|| Arc::new(abstract_hierarchy(&hierarchy)))
-            .clone();
+        let app = Arc::clone(&self.app);
+        let spec = app.screen(self.current).expect("current screen exists");
+        let visits = self.visit_counts.get(&spec.id).copied().unwrap_or(0);
+        let page = self.feed_pages.get(&spec.id).copied().unwrap_or(0);
+        let (hierarchy, abstraction) = match self.render_cache.entry((spec.id, page)) {
+            Entry::Occupied(mut cached) => {
+                let cached = cached.get_mut();
+                let structure = cached
+                    .structure
+                    .get_or_insert_with(|| app.render_structure(spec.id, page));
+                let mut hierarchy = structure.clone();
+                app.fill_volatile(spec.id, visits, &mut hierarchy);
+                (hierarchy, Arc::clone(&cached.abstraction))
+            }
+            Entry::Vacant(slot) => {
+                let hierarchy = app.render_screen_page(spec.id, visits, page);
+                let abstraction = Arc::new(abstract_hierarchy(&hierarchy));
+                slot.insert(RenderedPage {
+                    abstraction: Arc::clone(&abstraction),
+                    structure: None,
+                });
+                (hierarchy, abstraction)
+            }
+        };
         ScreenObservation::with_abstraction(spec.id, spec.activity, hierarchy, abstraction, time)
     }
 
@@ -183,14 +209,9 @@ impl AppRuntime {
                 // Back on the root screen keeps the app in foreground.
             }
             Action::Widget(id) => {
-                let spec = self
-                    .app
-                    .screen(self.current)
-                    .expect("current screen exists");
-                let act = spec
-                    .action(id)
-                    .ok_or(AppSimError::ActionNotAvailable(id))?
-                    .clone();
+                let app = Arc::clone(&self.app);
+                let spec = app.screen(self.current).expect("current screen exists");
+                let act = spec.action(id).ok_or(AppSimError::ActionNotAvailable(id))?;
                 // Handler coverage on first execution.
                 if self.executed_actions.insert(id) {
                     for m in &act.methods {
@@ -295,7 +316,8 @@ impl AppRuntime {
     fn arrive(&mut self, screen: ScreenId) -> Vec<MethodId> {
         let mut newly = Vec::new();
         *self.visit_counts.entry(screen).or_insert(0) += 1;
-        let spec = self.app.screen(screen).expect("screen exists").clone();
+        let app = Arc::clone(&self.app);
+        let spec = app.screen(screen).expect("screen exists");
         if self.visited_screens.insert(screen) {
             for m in &spec.methods {
                 if self.covered_methods.insert(*m) {
@@ -303,22 +325,16 @@ impl AppRuntime {
                 }
             }
             // Flow completion check (only needed when the visited set grew).
-            let flows: Vec<(usize, Vec<MethodId>)> = self
-                .app
-                .flows()
-                .iter()
-                .enumerate()
-                .filter(|(i, f)| {
-                    !self.completed_flows.contains(i)
-                        && f.screens.iter().all(|s| self.visited_screens.contains(s))
-                })
-                .map(|(i, f)| (i, f.methods.clone()))
-                .collect();
-            for (i, methods) in flows {
+            for (i, f) in app.flows().iter().enumerate() {
+                if self.completed_flows.contains(&i)
+                    || !f.screens.iter().all(|s| self.visited_screens.contains(s))
+                {
+                    continue;
+                }
                 self.completed_flows.insert(i);
-                for m in methods {
-                    if self.covered_methods.insert(m) {
-                        newly.push(m);
+                for m in &f.methods {
+                    if self.covered_methods.insert(*m) {
+                        newly.push(*m);
                     }
                 }
             }

@@ -48,16 +48,28 @@ const REQUIRED_HISTOGRAMS: [&str; 3] = [
     "span_ns{kind=\"broadcast\"}",
 ];
 
-fn histogram_row(name: &str, h: &HistogramSnapshot) -> String {
-    let us = |ns: f64| ns / 1000.0;
+/// The unit a series records in, read from the suffix of its name
+/// (`campaign_round_host_us` → `us`, `emulator_step_ns{seam="device"}` →
+/// `ns`); empty for a unitless series.
+fn series_unit(series: &str) -> &str {
+    let name = series.split('{').next().unwrap_or(series);
+    match name.rsplit_once('_') {
+        Some((_, unit @ ("ns" | "us" | "ms" | "s"))) => unit,
+        _ => "",
+    }
+}
+
+/// One histogram line, with values in the series' own unit.
+fn histogram_row(series: &str, h: &HistogramSnapshot) -> String {
+    let unit = series_unit(series);
     format!(
-        "  {name:<42} n={:<8} mean={:>9.1}us p50={:>9.1}us p95={:>9.1}us p99={:>9.1}us max={:>9.1}us",
+        "  {series:<42} n={:<8} mean={:>9}{unit} p50={:>9}{unit} p95={:>9}{unit} p99={:>9}{unit} max={:>9}{unit}",
         h.count,
-        us(h.mean() as f64),
-        us(h.p50() as f64),
-        us(h.p95() as f64),
-        us(h.p99() as f64),
-        us(h.max as f64),
+        h.mean(),
+        h.p50(),
+        h.p95(),
+        h.p99(),
+        h.max,
     )
 }
 
@@ -168,4 +180,39 @@ fn main() -> ExitCode {
         )
     });
     report.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A snapshot holding one sample of `value`.
+    fn one_sample(value: u64) -> HistogramSnapshot {
+        let h = taopt_telemetry::Telemetry::new().histogram("sample");
+        h.record(value);
+        h.snapshot()
+    }
+
+    #[test]
+    fn rows_render_each_series_in_the_unit_its_name_declares() {
+        let h = one_sample(1500);
+        for (series, unit) in [
+            ("campaign_round_host_us", "us"),
+            ("findspace_analysis_us", "us"),
+            ("emulator_step_ns{seam=\"device\"}", "ns"),
+            ("span_ns{kind=\"broadcast\"}", "ns"),
+            ("dedicate", ""),
+        ] {
+            // Values are printed as recorded, each followed by the unit.
+            let row = histogram_row(series, &h);
+            assert!(
+                row.contains(&format!("mean={:>9}{unit} ", 1500)),
+                "{series}: {row}"
+            );
+            assert!(
+                row.ends_with(&format!("max={:>9}{unit}", 1500)),
+                "{series}: {row}"
+            );
+        }
+    }
 }

@@ -30,6 +30,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
+use taopt_telemetry::Counter;
 
 /// One published batch of tasks: `run` is invoked as `(task, worker)`
 /// for every claimed index, `next` is the claim cursor, and `done`
@@ -127,6 +128,12 @@ impl ComputePool {
     /// the farm bench samples it to prove rounds stop spawning threads
     /// after warm-up.
     pub fn new(host_threads: usize) -> Arc<ComputePool> {
+        let spawned = taopt_telemetry::global().counter("host_threads_spawned_total");
+        ComputePool::counting_spawns(host_threads, &spawned)
+    }
+
+    /// [`ComputePool::new`], counting worker spawns on `spawned`.
+    fn counting_spawns(host_threads: usize, spawned: &Counter) -> Arc<ComputePool> {
         let budget = if host_threads == 0 {
             auto_threads()
         } else {
@@ -139,10 +146,9 @@ impl ComputePool {
             }),
             work_ready: Condvar::new(),
         });
-        let spawn_counter = taopt_telemetry::global().counter("host_threads_spawned_total");
         let threads = (1..budget)
             .map(|worker_id| {
-                spawn_counter.inc();
+                spawned.inc();
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("taopt-pool-{worker_id}"))
@@ -286,13 +292,11 @@ mod tests {
 
     #[test]
     fn sequential_jobs_reuse_the_same_workers() {
-        let before = taopt_telemetry::global()
-            .counter("host_threads_spawned_total")
-            .get();
-        let pool = ComputePool::new(3);
-        let after_new = taopt_telemetry::global()
-            .counter("host_threads_spawned_total")
-            .get();
+        // A private counter: sibling tests build pools concurrently, so
+        // the process-global spawn counter is not this pool's alone.
+        let spawned = taopt_telemetry::Telemetry::new().counter("host_threads_spawned_total");
+        let pool = ComputePool::counting_spawns(3, &spawned);
+        let after_new = spawned.get();
         for _ in 0..20 {
             let flag = Arc::new(AtomicU64::new(0));
             let f = Arc::clone(&flag);
@@ -301,10 +305,7 @@ mod tests {
             });
             assert_eq!(flag.load(Ordering::Relaxed), 8);
         }
-        let after_runs = taopt_telemetry::global()
-            .counter("host_threads_spawned_total")
-            .get();
-        assert_eq!(after_new - before, 2, "budget 3 spawns exactly 2 workers");
-        assert_eq!(after_runs, after_new, "run() never spawns");
+        assert_eq!(after_new, 2, "budget 3 spawns exactly 2 workers");
+        assert_eq!(spawned.get(), after_new, "run() never spawns");
     }
 }

@@ -65,7 +65,7 @@ use crate::campaign::step::{RoundOutcome, SessionStep};
 use crate::coordinator::CoordinatorEvent;
 use crate::resilience::{ReplacementQueue, RetryPolicy};
 use crate::session::{SessionConfig, SessionResult};
-use crate::streaming::{CampaignBus, StreamStats};
+use crate::streaming::StreamStats;
 
 /// A deterministic mid-campaign device kill: at the end of global round
 /// `round`, the `victim % leased`-th currently leased device (in
@@ -105,9 +105,6 @@ pub struct CampaignConfig {
     pub min_hold_rounds: u64,
     /// Scheduled device kills.
     pub kills: Vec<KillEvent>,
-    /// Optional per-app-partitioned event bus; when set, every trace
-    /// event is published on the app's partition.
-    pub bus: Option<CampaignBus>,
     /// Optional fault plan: when set, the whole campaign runs under
     /// deterministic fault injection — the shared farm is wrapped in a
     /// [`FaultyPool`] (allocation refusals, rate-planned device losses)
@@ -137,7 +134,6 @@ impl Default for CampaignConfig {
             capacity: None,
             min_hold_rounds: 3,
             kills: Vec::new(),
-            bus: None,
             faults: None,
             max_rounds: 1_000_000,
         }
@@ -470,9 +466,6 @@ impl Campaign {
                 let mut step = SessionStep::new(a.app, a.config).with_orphan_repair(true);
                 if let Some(inj) = &injector {
                     step = step.with_layers(StepLayers::chaos(inj, (i as u32) << APP_LANE_SHIFT));
-                }
-                if let Some(bus) = &config.bus {
-                    step = step.with_publisher(bus.sender(i));
                 }
                 Mutex::new(Slot {
                     name: a.name,

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use taopt_app_sim::{App, MethodId};
 use taopt_device::DeviceId;
 use taopt_telemetry::Counter;
-use taopt_toller::{EntrypointRule, EventSender, InstanceId, InstrumentedInstance};
+use taopt_toller::{EntrypointRule, InstanceId, InstrumentedInstance};
 use taopt_ui_model::abstraction::abstract_hierarchy;
 use taopt_ui_model::{ActivityId, ScreenId, Trace, VirtualDuration, VirtualTime};
 
@@ -157,8 +157,6 @@ struct ActiveInstance {
     /// Activity-partition mode: screens this instance owns.
     owned_screens: Vec<ScreenId>,
     jump_cursor: usize,
-    /// Trace events already forwarded to the campaign bus.
-    forwarded: usize,
     /// Bus-seam lane state (present iff the layer bundle has a bus
     /// transport): the coordinator then analyzes the lane's repaired
     /// coordinator-view trace instead of the instance trace.
@@ -245,7 +243,6 @@ pub struct SessionStep {
     /// Whether orphaned confirmed subspaces are re-dedicated each round
     /// (campaign behavior; the legacy serial session leaves them).
     repair_orphans: bool,
-    publisher: Option<EventSender>,
     /// Seam layer bundle (bus transport, enforcement channel, chaos
     /// handle); [`StepLayers::direct`] unless a driver plugs in more.
     layers: StepLayers,
@@ -312,7 +309,6 @@ impl SessionStep {
             started: false,
             pending_growth: 0,
             repair_orphans: false,
-            publisher: None,
             layers: StepLayers::direct(),
             round: 0,
             orphaned_since: BTreeMap::new(),
@@ -327,12 +323,6 @@ impl SessionStep {
     /// (used by the campaign scheduler, where devices can be killed).
     pub fn with_orphan_repair(mut self, repair: bool) -> Self {
         self.repair_orphans = repair;
-        self
-    }
-
-    /// Publishes every trace event onto a campaign bus partition.
-    pub fn with_publisher(mut self, publisher: EventSender) -> Self {
-        self.publisher = Some(publisher);
         self
     }
 
@@ -476,7 +466,6 @@ impl SessionStep {
             cover_events: boot_covered,
             owned_screens,
             jump_cursor: 0,
-            forwarded: 0,
             bus: self.layers.bus.is_some().then(BusLane::new),
         });
         iid
@@ -531,14 +520,6 @@ impl SessionStep {
                 if r.new_screen {
                     a.last_new_screen = r.time;
                 }
-            }
-        }
-        if let Some(tx) = &self.publisher {
-            for a in self.active.iter_mut() {
-                for ev in &a.inst.trace().events()[a.forwarded..] {
-                    let _ = tx.send(a.inst.id(), ev.clone());
-                }
-                a.forwarded = a.inst.trace().len();
             }
         }
         // Bus seam: push new trace events through the transport; the
@@ -806,12 +787,6 @@ impl SessionStep {
     /// its result. Returns the freed device.
     fn retire(&mut self, idx: usize, now: VirtualTime) -> DeviceId {
         let mut a = self.active.swap_remove(idx);
-        if let Some(tx) = &self.publisher {
-            for ev in &a.inst.trace().events()[a.forwarded..] {
-                let _ = tx.send(a.inst.id(), ev.clone());
-            }
-            a.forwarded = a.inst.trace().len();
-        }
         if let Some(mut lane) = a.bus.take() {
             // Deliver everything still in flight, then fold the lane's
             // repair counters into the session total.

@@ -189,7 +189,6 @@ impl CampaignSpec {
             capacity: self.capacity,
             min_hold_rounds: self.min_hold_rounds,
             kills: self.kills.clone(),
-            bus: None,
             faults: self.faults.clone(),
             max_rounds: self.max_rounds,
         };

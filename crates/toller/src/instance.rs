@@ -267,7 +267,7 @@ mod tests {
                 if rid.is_none() {
                     if let Some(r) = &w.resource_id {
                         if r.starts_with("tab_") {
-                            rid = Some(r.clone());
+                            rid = Some(r.to_string());
                         }
                     }
                 }

@@ -1,7 +1,5 @@
 //! UI transition monitoring.
 
-use std::sync::Arc;
-
 use taopt_ui_model::{Action, ScreenObservation, Trace, TraceEvent};
 
 use crate::events::EventSender;
@@ -47,7 +45,7 @@ impl TransitionMonitor {
             (Some(p), Some(Action::Widget(id))) => p
                 .hierarchy
                 .widget_for(id)
-                .and_then(|w| w.resource_id.as_deref().map(Arc::from)),
+                .and_then(|w| w.resource_id.clone()),
             _ => None,
         };
         let event = TraceEvent {

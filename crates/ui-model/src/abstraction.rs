@@ -40,7 +40,7 @@ impl AbstractNode {
     fn from_widget(w: &Widget) -> Self {
         AbstractNode {
             class: w.class,
-            resource_id: w.resource_id.clone(),
+            resource_id: w.resource_id.as_deref().map(str::to_owned),
             children: w.children.iter().map(AbstractNode::from_widget).collect(),
         }
     }

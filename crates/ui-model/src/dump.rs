@@ -16,6 +16,7 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::action::{ActionId, ActionKind};
 use crate::geometry::Bounds;
@@ -141,7 +142,7 @@ fn parse_node_line(line: &str, lineno: usize) -> Result<Widget, ParseDumpError> 
     let class_name = attr(line, "class").ok_or(ParseDumpError::MissingAttr(lineno, "class"))?;
     let class = parse_class(class_name).ok_or(ParseDumpError::UnknownClass(lineno))?;
     let mut w = Widget::container(class);
-    w.resource_id = attr(line, "resource-id").map(unescape);
+    w.resource_id = attr(line, "resource-id").map(|r| Arc::from(unescape(r)));
     w.text = attr(line, "text").map(unescape);
     w.enabled = attr(line, "enabled").map(|s| s == "true").unwrap_or(true);
     if let Some(b) = attr(line, "bounds") {

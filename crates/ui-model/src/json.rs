@@ -8,6 +8,11 @@
 //! Integers are kept exact: values without a fraction or exponent parse
 //! into [`Value::UInt`] / [`Value::Int`], never through `f64`, because
 //! abstract-screen ids are 64-bit hashes that must roundtrip bit-for-bit.
+//!
+//! The parser recurses once per nested array or object, and documents
+//! arrive from the network (`POST /v1/campaigns`, checkpoint imports), so
+//! nesting is capped at [`MAX_DEPTH`]: a deeper document is a
+//! [`JsonError`], never a stack overflow.
 
 use std::fmt;
 use std::sync::Arc;
@@ -18,6 +23,11 @@ use crate::screen::{ActivityId, ScreenId};
 use crate::time::VirtualTime;
 use crate::trace::{Trace, TraceEvent};
 use crate::widget::WidgetClass;
+
+/// Deepest array/object nesting [`Value::parse`] accepts. Every document
+/// this workspace writes stays far below it (an abstract widget tree adds
+/// two levels per widget level).
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,6 +91,7 @@ impl Value {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -301,6 +312,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -341,8 +354,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(JsonError::new(
                 format!("unexpected byte `{}`", other as char),
@@ -350,6 +363,24 @@ impl Parser<'_> {
             )),
             None => Err(JsonError::new("unexpected end of input", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -750,6 +781,40 @@ pub fn trace_from_value(v: &Value) -> Result<Trace, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        // A quarter of a default spawned-thread stack: a million open
+        // brackets would overflow it without the limit.
+        let worker = std::thread::Builder::new()
+            .stack_size(512 * 1024)
+            .spawn(|| {
+                let deep_array = "[".repeat(1_000_000);
+                let deep_object = "{\"a\":".repeat(1_000_000);
+                let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+                let past_limit = format!("[{at_limit}]");
+                (
+                    Value::parse(&deep_array),
+                    Value::parse(&deep_object),
+                    Value::parse(&at_limit),
+                    Value::parse(&past_limit),
+                )
+            })
+            .expect("spawn small-stack parser thread");
+        let (deep_array, deep_object, at_limit, past_limit) =
+            worker.join().expect("parser must not overflow its stack");
+        // The error points at the first bracket past the limit.
+        for (err, offset) in [
+            (deep_array, MAX_DEPTH),
+            (deep_object, MAX_DEPTH * "{\"a\":".len()),
+            (past_limit, MAX_DEPTH),
+        ] {
+            let err = err.expect_err("nesting past the limit must be refused");
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+            assert_eq!(err.offset, offset, "{err}");
+        }
+        assert!(at_limit.is_ok(), "nesting exactly at the limit parses");
+    }
 
     #[test]
     fn scalars_roundtrip() {

@@ -1,6 +1,7 @@
 //! Widgets — nodes of a UI hierarchy.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::action::{ActionId, ActionKind};
 use crate::geometry::Bounds;
@@ -72,8 +73,10 @@ impl fmt::Display for WidgetClass {
 pub struct Widget {
     /// View class.
     pub class: WidgetClass,
-    /// Android resource id (stable across visits), if any.
-    pub resource_id: Option<String>,
+    /// Android resource id (stable across visits), if any. Shared, not
+    /// owned: a screen's widget tree is cloned from a cached structure on
+    /// every observation, and the id rides along by refcount.
+    pub resource_id: Option<Arc<str>>,
     /// Visible text (volatile; removed by abstraction).
     pub text: Option<String>,
     /// Whether the widget is currently enabled.
@@ -103,7 +106,7 @@ impl Widget {
     /// Creates a leaf widget of the given class with a resource id.
     pub fn leaf(class: WidgetClass, resource_id: &str) -> Self {
         Widget {
-            resource_id: Some(resource_id.to_owned()),
+            resource_id: Some(Arc::from(resource_id)),
             ..Widget::container(class)
         }
     }

@@ -1,6 +1,8 @@
 //! Property-based tests for the UI substrate: abstraction invariance,
 //! similarity metric laws, graph arithmetic.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use taopt_ui_model::abstraction::abstract_hierarchy;
@@ -27,7 +29,7 @@ pub fn arb_widget() -> impl Strategy<Value = Widget> {
     )
         .prop_map(|(ci, rid, actionable)| {
             let mut w = Widget::container(CLASSES[ci]);
-            w.resource_id = rid;
+            w.resource_id = rid.map(Arc::from);
             w.text = Some("text".to_owned());
             if actionable {
                 w = w.with_affordance(ActionId(ci as u32), ActionKind::Click);
@@ -42,7 +44,7 @@ pub fn arb_widget() -> impl Strategy<Value = Widget> {
         )
             .prop_map(|(ci, rid, children)| {
                 let mut w = Widget::container(CLASSES[ci]);
-                w.resource_id = rid;
+                w.resource_id = rid.map(Arc::from);
                 w.children = children;
                 w
             })

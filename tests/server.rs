@@ -2,10 +2,13 @@
 //! over the wire reproduces the in-process result byte-for-byte, a
 //! mid-flight campaign migrates between two live shards with its digest
 //! verified, tampered checkpoints are rejected cleanly at both layers,
-//! the worker pool sheds load with 503s instead of growing, and the
-//! `/metrics` route emits well-formed Prometheus text.
+//! the worker pool sheds load with 503s instead of growing, deeply nested
+//! JSON bodies are refused with 400, and the `/metrics` route emits
+//! well-formed Prometheus text.
 
 use std::collections::HashSet;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -298,6 +301,51 @@ fn drain_checkpoints_everything_and_stops_accepting() {
     // for evacuating a shard.
     let ckpt = client.export_checkpoint(running).unwrap();
     assert_eq!(ckpt.priority, 9);
+    handle.stop().shutdown();
+}
+
+/// Posts `body` to `path` over a raw connection (the typed client only
+/// sends well-formed specs) and returns the response status.
+fn post_raw(addr: SocketAddr, path: &str, body: &str) -> u16 {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let head = format!(
+        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status line")
+}
+
+#[test]
+fn deeply_nested_json_bodies_are_refused_with_400() {
+    let (handle, client) = shard("deepjson");
+    let deep = "[".repeat(1_000_000);
+    assert_eq!(post_raw(handle.addr(), "/v1/campaigns", &deep), 400);
+
+    // An import whose header and checksum are intact, so the payload
+    // reaches the JSON parser.
+    let fnv = deep.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let import = format!(
+        "taopt-checkpoint v{} fnv64={fnv:016x} len={}\n{deep}",
+        ckpt_codec::CHECKPOINT_VERSION,
+        deep.len()
+    );
+    let err = client.import_checkpoint_text(&import).unwrap_err();
+    assert_eq!(err.status(), Some(400), "deep import must 400: {err}");
+
+    // The shard survived both and still serves.
+    let id = client.submit(&tiny_spec("after-deep", 41, 1), 5).unwrap();
+    assert_eq!(client.wait(id, WAIT).unwrap(), CampaignStatus::Done);
     handle.stop().shutdown();
 }
 
